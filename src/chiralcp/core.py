@@ -77,7 +77,9 @@ class MirrorSpec:
     r_e is the direct (polarization-preserving) coefficient, r_c the signed
     cross-polarization (chirality) coefficient. Side A sits at z = 0 and
     side B at z = a; the two sides use transposed-handedness reflection
-    matrix conventions (see greens.reflection_matrix).
+    matrix conventions (see greens.reflection_matrix). That matrix has
+    singular values |r_e + r_c| and |r_e - r_c|, so a passive mirror needs
+    |r_e| + |r_c| <= 1.
     """
 
     r_e: float
@@ -89,8 +91,8 @@ class MirrorSpec:
             raise ValueError("r_e must lie in [0, 1]")
         if not -1.0 <= self.r_c <= 1.0:
             raise ValueError("r_c must lie in [-1, 1]")
-        if self.r_e**2 + self.r_c**2 > 1.0 + 1e-12:
-            raise ValueError("passivity requires r_e^2 + r_c^2 <= 1")
+        if abs(self.r_e) + abs(self.r_c) > 1.0 + 1e-12:
+            raise ValueError("passivity requires |r_e| + |r_c| <= 1")
         if not isinstance(self.side, Side):
             raise ValueError("side must be a Side enum value")
 
@@ -116,20 +118,6 @@ class CavitySpec:
             raise ValueError(
                 f"position z={z!r} outside the open cavity (0, {self.width_a})"
             )
-
-    def swapped(self) -> "CavitySpec":
-        """Cavity with the two mirrors' coefficient sets exchanged.
-
-        Exchanging sets alone is not a symmetry of the potential: the
-        mirrored-position equivalence U(z) = U(a - z) needs the sets
-        exchanged and both r_c signs flipped (each side's reflection
-        matrix keeps its own handedness convention).
-        """
-        return CavitySpec(
-            width_a=self.width_a,
-            mirror_A=MirrorSpec(self.mirror_B.r_e, self.mirror_B.r_c, Side.A),
-            mirror_B=MirrorSpec(self.mirror_A.r_e, self.mirror_A.r_c, Side.B),
-        )
 
 
 def symmetric_cavity(width_a: float, r_e: float, r_c: float) -> CavitySpec:

@@ -29,8 +29,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from .core import CavitySpec, DriveSpec, MoleculeSpec, Side, time_averaged_populations
-from .potential import PotentialConfig, Z_MIN, component_grid
+from .core import CavitySpec, DriveSpec, MoleculeSpec, Side
+from .potential import PotentialConfig, Z_MIN, component_grid, driven_pair
 
 
 class Fate(enum.Enum):
@@ -129,9 +129,7 @@ def force_field_pair(
         cavity, molecule.wavelength10, z_min, n_side=n_side, n_mid=n_mid
     )
     comps = component_grid(molecule, cavity, grid, drive.temperature, cfg)
-    p0, p1 = time_averaged_populations(drive.rabi(molecule), drive.detuning_delta)
-    u_self = p0 * (comps["u0e"] + comps["u0c"]) + p1 * (comps["u1e"] + comps["u1c"])
-    u_mirror = p0 * (comps["u0e"] - comps["u0c"]) + p1 * (comps["u1e"] - comps["u1c"])
+    u_self, u_mirror = driven_pair(comps, molecule, drive)
     return ForceField.from_grid(grid, u_self), ForceField.from_grid(grid, u_mirror)
 
 

@@ -8,12 +8,13 @@ for forces.
 
 Three evaluation paths:
 
-* "single"  -- one reflection per mirror (two independent mirrors), exact
-  closed forms. Default; appropriate when a >> wavelength, where round-trip
-  contributions are negligible.
-* "series"  -- multiple-reflection (image) expansion of the round-trip
-  resolvent, summed per mirror side with closed-form images until the
-  series tolerance is met.
+* "single"  -- the n = 0 term of the image sum: one reflection per mirror
+  (two independent mirrors), exact closed forms that accept an array of
+  imaginary frequencies. Default; appropriate when a >> wavelength, where
+  round-trip contributions are negligible.
+* "series"  -- the same image sum (side A + side B, images at round-trip
+  order n) carried on with sum_series per mirror side until the series
+  tolerance is met.
 * "direct"  -- numerical quadrature of the resummed D^{-1} integrands:
   adaptive Gauss-Kronrod on decaying branches, Filon-Clenshaw-Curtis on
   the traveling branch. Used for small cavities (a of order the
@@ -34,14 +35,13 @@ derivative just lowers one extra moment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import CONST
 from .core import CavitySpec, MirrorSpec, Side
 from .quadrature import (
-    ConvergenceError,
     QuadratureConfig,
     SeriesConfig,
     integrate_adaptive,
@@ -82,61 +82,6 @@ def reflection_matrix(mirror: MirrorSpec) -> np.ndarray:
     if mirror.side is Side.A:
         return np.array([[-re_, rc], [-rc, re_]])
     return np.array([[-re_, -rc], [rc, re_]])
-
-
-@dataclass(frozen=True, eq=False)
-class CavityRoundTrip:
-    """Round-trip operator R_A . R_B and its resolvent D^{-1}(phase).
-
-    D(phase) = I - phase * R_A R_B with phase = exp(2 i a k_perp) (or
-    exp(-2 a kappa) on decaying branches).
-    """
-
-    matrix: np.ndarray
-
-    @classmethod
-    def from_cavity(cls, cavity: CavitySpec) -> "CavityRoundTrip":
-        return cls(
-            reflection_matrix(cavity.mirror_A)
-            @ reflection_matrix(cavity.mirror_B)
-        )
-
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.matrix))))
-
-    def d_matrix(self, phase):
-        phase = np.asarray(phase)
-        return np.eye(2) - phase[..., None, None] * self.matrix
-
-    def d_inverse(self, phase):
-        return np.linalg.inv(self.d_matrix(phase))
-
-    def d_inverse_series(self, phase, cfg: SeriesConfig | None = None):
-        """Geometric resummation sum_n (phase R_A R_B)^n.
-
-        Returns (matrix, terms_used). Converges iff the spectral radius of
-        phase * R_A R_B is below one.
-        """
-        cfg = cfg or SeriesConfig()
-        step = phase * self.matrix
-        term = np.eye(2, dtype=complex)
-        total = np.eye(2, dtype=complex)
-        below = 0
-        for n in range(1, cfg.max_terms + 1):
-            term = step @ term
-            total = total + term
-            if np.linalg.norm(term) <= cfg.rel_tol * np.linalg.norm(total):
-                below += 1
-                if below >= cfg.tail_check_window and n + 1 >= cfg.min_terms:
-                    return total, n + 1
-            else:
-                below = 0
-        raise ConvergenceError(
-            "round-trip geometric series did not converge "
-            f"within {cfg.max_terms} terms",
-            estimate=total,
-        )
 
 
 def round_trip_eigenvalues(cavity: CavitySpec):
@@ -292,22 +237,30 @@ def _tc_real_terms(omega, X, g, side_sign, dXdz, deriv, mu_ev=0.0, traveling=Tru
 
 
 # ----------------------------------------------------------------------
-# Series summation over images (scalar frequency).
+# Image sum over both mirrors.
 
-def _sum_image_series(term_of_n, cfg: GreensConfig):
-    return sum_series(term_of_n, 1.0, cfg.series)
+def _image_sum(cavity, z, cfg, term):
+    """Side A + side B of term(X, s, e, g) over the image orders n.
 
+    Side A's image of order n sits at X = z + n a (s = +1), side B's at
+    X = (a - z) + n a (s = -1); (e, g) are their image_strengths. The
+    "single" path keeps the n = 0 images, where xi may be an array; the
+    other paths sum each side with sum_series.
+    """
+    a = cavity.width_a
+    if cfg.path == "single":
+        eA, gA, eB, gB = image_strengths(cavity, 0)
+        return term(z, +1, eA, gA) + term(a - z, -1, eB, gB)
 
-def _series_pair_sides(cavity, make_term_A, make_term_B, cfg):
-    def term_A(n):
+    def side_A(n):
         eA, gA, _, _ = image_strengths(cavity, n)
-        return make_term_A(n, eA, gA)
+        return term(z + n * a, +1, eA, gA)
 
-    def term_B(n):
+    def side_B(n):
         _, _, eB, gB = image_strengths(cavity, n)
-        return make_term_B(n, eB, gB)
+        return term((a - z) + n * a, -1, eB, gB)
 
-    return _sum_image_series(term_A, cfg) + _sum_image_series(term_B, cfg)
+    return sum_series(side_A, 1.0, cfg.series) + sum_series(side_B, 1.0, cfg.series)
 
 
 # ----------------------------------------------------------------------
@@ -356,17 +309,35 @@ def _direct_imag(xi, z, cavity, cfg, chiral, deriv):
             )
         return val
 
-    main = integrate_adaptive(integrand, mu, kappa_max, cfg.quadrature).value
     eA, gA, eB, gB = image_strengths(cavity, 0)
     if chiral:
-        tail = _tc_imag_terms(xi, z, gA, +1, +1, deriv, mu=kappa_max) + _tc_imag_terms(
-            xi, a - z, gB, -1, -1, deriv, mu=kappa_max
-        )
-        return float(-(xi / (4.0 * np.pi * c)) * main + tail)
-    tail = _tg_imag_terms(xi, z, eA, +1, deriv, mu=kappa_max) + _tg_imag_terms(
-        xi, a - z, eB, -1, deriv, mu=kappa_max
-    )
-    return float(main / (4.0 * np.pi) + tail)
+        weight = xi / (4.0 * np.pi * c)
+
+        def sides(lower):
+            return (
+                _tc_imag_terms(xi, z, gA, +1, +1, deriv, mu=lower),
+                _tc_imag_terms(xi, a - z, gB, -1, -1, deriv, mu=lower),
+            )
+    else:
+        weight = 1.0 / (4.0 * np.pi)
+
+        def sides(lower):
+            return (
+                _tg_imag_terms(xi, z, eA, +1, deriv, mu=lower),
+                _tg_imag_terms(xi, a - z, eB, -1, deriv, mu=lower),
+            )
+
+    # The two sides cancel pointwise at z = a/2 of a symmetric cavity, where
+    # a relative rule alone never stops; the absolute floor is rel_tol times
+    # the closed-form single-reflection magnitude at this (xi, z).
+    single_A, single_B = sides(mu)
+    floor = cfg.quadrature.rel_tol * (abs(single_A) + abs(single_B)) / weight
+    quad = replace(cfg.quadrature, abs_tol=max(cfg.quadrature.abs_tol, floor))
+    main = integrate_adaptive(integrand, mu, kappa_max, quad).value
+    tail_A, tail_B = sides(kappa_max)
+    if chiral:
+        return float(-weight * main + (tail_A + tail_B))
+    return float(main / (4.0 * np.pi) + (tail_A + tail_B))
 
 
 def _direct_real(omega, z, cavity, cfg, chiral, deriv):
@@ -452,6 +423,23 @@ def _check_args(z, cavity, cfg):
     return cfg or _DEFAULT_CFG
 
 
+def _imaginary_trace(xi_arr, z, cavity, cfg, chiral, deriv):
+    if xi_arr.ndim and cfg.path != "single":
+        return np.array(
+            [_imaginary_trace(x, z, cavity, cfg, chiral, deriv) for x in xi_arr]
+        )
+    if cfg.path == "direct":
+        return _direct_imag(float(xi_arr), z, cavity, cfg, chiral, deriv)
+    if chiral:
+        def term(X, s, e, g):
+            return _tc_imag_terms(xi_arr, X, g, s, s, deriv)
+    else:
+        def term(X, s, e, g):
+            return _tg_imag_terms(xi_arr, X, e, s, deriv)
+    val = _image_sum(cavity, z, cfg, term)
+    return val if xi_arr.ndim else float(val)
+
+
 def trace_G_imaginary(xi, z, cavity: CavitySpec, cfg: GreensConfig | None = None, *, deriv: int = 0):
     """tr G(r, r, i xi), real-valued (1/m); deriv=1 gives d/dz (1/m^2).
 
@@ -462,28 +450,7 @@ def trace_G_imaginary(xi, z, cavity: CavitySpec, cfg: GreensConfig | None = None
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr <= 0):
         raise ValueError("xi must be > 0 (j = 0 term: trace_G_xi2_zero_limit)")
-    a = cavity.width_a
-    if cfg.path == "single":
-        eA, gA, eB, gB = image_strengths(cavity, 0)
-        val = _tg_imag_terms(xi_arr, z, eA, +1, deriv) + _tg_imag_terms(
-            xi_arr, a - z, eB, -1, deriv
-        )
-        return float(val) if xi_arr.ndim == 0 else val
-    if xi_arr.ndim:
-        return np.array(
-            [trace_G_imaginary(x, z, cavity, cfg, deriv=deriv) for x in xi_arr]
-        )
-    xi = float(xi_arr)
-    if cfg.path == "series":
-        return float(
-            _series_pair_sides(
-                cavity,
-                lambda n, e, g: _tg_imag_terms(xi, z + n * a, e, +1, deriv),
-                lambda n, e, g: _tg_imag_terms(xi, (a - z) + n * a, e, -1, deriv),
-                cfg,
-            )
-        )
-    return _direct_imag(xi, z, cavity, cfg, chiral=False, deriv=deriv)
+    return _imaginary_trace(xi_arr, z, cavity, cfg, False, deriv)
 
 
 def trace_curl_G_imaginary(xi, z, cavity: CavitySpec, cfg: GreensConfig | None = None, *, deriv: int = 0):
@@ -492,30 +459,7 @@ def trace_curl_G_imaginary(xi, z, cavity: CavitySpec, cfg: GreensConfig | None =
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr <= 0):
         raise ValueError("xi must be > 0 (the j = 0 chiral term vanishes)")
-    a = cavity.width_a
-    if cfg.path == "single":
-        eA, gA, eB, gB = image_strengths(cavity, 0)
-        val = _tc_imag_terms(xi_arr, z, gA, +1, +1, deriv) + _tc_imag_terms(
-            xi_arr, a - z, gB, -1, -1, deriv
-        )
-        return float(val) if xi_arr.ndim == 0 else val
-    if xi_arr.ndim:
-        return np.array(
-            [trace_curl_G_imaginary(x, z, cavity, cfg, deriv=deriv) for x in xi_arr]
-        )
-    xi = float(xi_arr)
-    if cfg.path == "series":
-        return float(
-            _series_pair_sides(
-                cavity,
-                lambda n, e, g: _tc_imag_terms(xi, z + n * a, g, +1, +1, deriv),
-                lambda n, e, g: _tc_imag_terms(
-                    xi, (a - z) + n * a, g, -1, -1, deriv
-                ),
-                cfg,
-            )
-        )
-    return _direct_imag(xi, z, cavity, cfg, chiral=True, deriv=deriv)
+    return _imaginary_trace(xi_arr, z, cavity, cfg, True, deriv)
 
 
 def trace_G_real_resonant(omega, z, cavity: CavitySpec, cfg: GreensConfig | None = None, *, deriv: int = 0) -> complex:
@@ -527,22 +471,12 @@ def trace_G_real_resonant(omega, z, cavity: CavitySpec, cfg: GreensConfig | None
     cfg = _check_args(z, cavity, cfg)
     if omega <= 0:
         raise ValueError("omega must be > 0")
-    a = cavity.width_a
-    if cfg.path == "single":
-        eA, gA, eB, gB = image_strengths(cavity, 0)
-        val = _bracket_e_terms(omega, z, eA, +1, deriv) + _bracket_e_terms(
-            omega, a - z, eB, -1, deriv
-        )
-        return complex(val / (4.0 * np.pi))
-    if cfg.path == "series":
-        val = _series_pair_sides(
-            cavity,
-            lambda n, e, g: _bracket_e_terms(omega, z + n * a, e, +1, deriv),
-            lambda n, e, g: _bracket_e_terms(omega, (a - z) + n * a, e, -1, deriv),
-            cfg,
-        )
-        return complex(val / (4.0 * np.pi))
-    return _direct_real(omega, z, cavity, cfg, chiral=False, deriv=deriv)
+    if cfg.path == "direct":
+        return _direct_real(omega, z, cavity, cfg, chiral=False, deriv=deriv)
+    val = _image_sum(
+        cavity, z, cfg, lambda X, s, e, g: _bracket_e_terms(omega, X, e, s, deriv)
+    )
+    return complex(val / (4.0 * np.pi))
 
 
 def trace_curl_G_real_resonant(omega, z, cavity: CavitySpec, cfg: GreensConfig | None = None, *, deriv: int = 0) -> complex:
@@ -550,25 +484,12 @@ def trace_curl_G_real_resonant(omega, z, cavity: CavitySpec, cfg: GreensConfig |
     cfg = _check_args(z, cavity, cfg)
     if omega <= 0:
         raise ValueError("omega must be > 0")
-    a = cavity.width_a
-    c = CONST.c
-    if cfg.path == "single":
-        eA, gA, eB, gB = image_strengths(cavity, 0)
-        val = _tc_real_terms(omega, z, gA, +1, +1, deriv) + _tc_real_terms(
-            omega, a - z, gB, -1, -1, deriv
-        )
-        return complex(omega / (4.0 * np.pi * c) * val)
-    if cfg.path == "series":
-        val = _series_pair_sides(
-            cavity,
-            lambda n, e, g: _tc_real_terms(omega, z + n * a, g, +1, +1, deriv),
-            lambda n, e, g: _tc_real_terms(
-                omega, (a - z) + n * a, g, -1, -1, deriv
-            ),
-            cfg,
-        )
-        return complex(omega / (4.0 * np.pi * c) * val)
-    return _direct_real(omega, z, cavity, cfg, chiral=True, deriv=deriv)
+    if cfg.path == "direct":
+        return _direct_real(omega, z, cavity, cfg, chiral=True, deriv=deriv)
+    val = _image_sum(
+        cavity, z, cfg, lambda X, s, e, g: _tc_real_terms(omega, X, g, s, s, deriv)
+    )
+    return complex(omega / (4.0 * np.pi * CONST.c) * val)
 
 
 def trace_G_xi2_zero_limit(z, cavity: CavitySpec, cfg: GreensConfig | None = None, *, deriv: int = 0) -> float:
@@ -576,30 +497,19 @@ def trace_G_xi2_zero_limit(z, cavity: CavitySpec, cfg: GreensConfig | None = Non
 
     The raw trace diverges as 1/xi^2 while alpha(i xi) xi^2 stays finite;
     the potential layer multiplies this limit by the static polarizability.
-    Evaluated through the image expansion (exact in the limit); the
-    "single" path keeps only the two first reflections. The corresponding
-    chiral limit vanishes identically (xi Gamma tr curl G -> 0) and has no
-    operation.
+    Evaluated through the image expansion (exact in the limit; the
+    "direct" path sums it too); the "single" path keeps only the two first
+    reflections. The corresponding chiral limit vanishes identically
+    (xi Gamma tr curl G -> 0) and has no operation.
     """
     cfg = _check_args(z, cavity, cfg)
-    a = cavity.width_a
     c = CONST.c
 
-    def term(n, e, X, dXdz):
+    def term(X, s, e, g):
         E = _exp_moments(0.0, 2.0 * X, 2 + deriv)
         pref = -(e * c**2) / (2.0 * np.pi)
         if deriv == 0:
             return pref * E[2]
-        return pref * (2.0 * dXdz) * (-E[3])
+        return pref * (2.0 * s) * (-E[3])
 
-    if cfg.path == "single":
-        eA, gA, eB, gB = image_strengths(cavity, 0)
-        return float(term(0, eA, z, +1) + term(0, eB, a - z, -1))
-    return float(
-        _series_pair_sides(
-            cavity,
-            lambda n, e, g: term(n, e, z + n * a, +1),
-            lambda n, e, g: term(n, e, (a - z) + n * a, -1),
-            cfg,
-        )
-    )
+    return float(_image_sum(cavity, z, cfg, term))

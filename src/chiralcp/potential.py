@@ -24,7 +24,6 @@ time-averaged two-level populations of the drive.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -54,11 +53,6 @@ from .quadrature import QuadratureConfig, SeriesConfig, integrate_adaptive, sum_
 # constant-reflection two-level model stops being meaningful; every curve,
 # barrier scan and trajectory clips here.
 Z_MIN = 1e-8
-
-
-class State(enum.Enum):
-    GROUND = "ground"
-    EXCITED = "excited"
 
 
 @dataclass(frozen=True)
@@ -112,11 +106,9 @@ class PotentialComponents:
     """All potential components at one position (J), split nonres/resonant.
 
     With deriv evaluations the same container holds d/dz of each part
-    (J/m); the algebraic relations between parts are identical.
-
-    u1e_res / u1c_res are populated only when the evaluation included the
-    resonant traces (resonant_included): a GROUND-state request at T = 0
-    skips them since the ground state has no resonant part there.
+    (J/m); the algebraic relations between parts are identical. The chiral
+    parts are odd in R01: the mirror-image molecule sees them negated. At
+    T = 0 the ground state has no resonant part (u0e_res = u0c_res = 0).
     """
 
     z: float
@@ -129,7 +121,6 @@ class PotentialComponents:
     u1e_res: float
     u0c_res: float
     u1c_res: float
-    resonant_included: bool
 
     @property
     def u0e(self) -> float:
@@ -155,27 +146,8 @@ class PotentialComponents:
     def u1(self) -> float:
         return self.u1e + self.u1c
 
-    def state_potential(self, state: State) -> float:
-        return self.u0 if state is State.GROUND else self.u1
-
     def weighted(self, p0: float, p1: float) -> float:
         return p0 * self.u0 + p1 * self.u1
-
-    def flip_enantiomer(self) -> "PotentialComponents":
-        """Components for the mirror-image molecule: chiral parts negate."""
-        return PotentialComponents(
-            z=self.z,
-            temperature=self.temperature,
-            u0e_nonres=self.u0e_nonres,
-            u1e_nonres=self.u1e_nonres,
-            u0c_nonres=-self.u0c_nonres,
-            u1c_nonres=-self.u1c_nonres,
-            u0e_res=self.u0e_res,
-            u1e_res=self.u1e_res,
-            u0c_res=-self.u0c_res,
-            u1c_res=-self.u1c_res,
-            resonant_included=self.resonant_included,
-        )
 
 
 def _nonres_zero_T(molecule, cavity, z, cfg, deriv):
@@ -274,30 +246,25 @@ def potential_components(
     temperature: float = 0.0,
     cfg: PotentialConfig | None = None,
     *,
-    state: State = State.EXCITED,
     deriv: int = 0,
 ) -> PotentialComponents:
     """All potential components at z; deriv=1 yields their d/dz instead.
 
-    state=GROUND is a cost knob: at T = 0 the ground state has no resonant
-    part, so the real-frequency traces are skipped and the excited
-    resonant fields are left at zero (resonant_included=False). Whenever
-    the thermal photon number is nonzero, or state=EXCITED, everything is
-    computed.
+    temperature = 0 integrates the nonresonant parts over imaginary
+    frequency; temperature > 0 sums them over Matsubara frequencies and
+    weights the resonant parts with the thermal photon number.
     """
     cfg = cfg or _DEFAULT_CFG
     cavity.validate_position(z)
+    if temperature < 0.0:
+        raise ValueError(f"temperature must be >= 0, got {temperature!r}")
     if temperature > 0.0:
         u0e_nr, u0c_nr = _nonres_thermal(molecule, cavity, z, temperature, cfg, deriv)
         n_th = thermal_photon_number(molecule.omega10, temperature)
     else:
         u0e_nr, u0c_nr = _nonres_zero_T(molecule, cavity, z, cfg, deriv)
         n_th = 0.0
-    include_res = state is State.EXCITED or n_th > 0.0
-    if include_res:
-        res = _resonant_parts(molecule, cavity, z, n_th, cfg, deriv)
-    else:
-        res = (0.0, 0.0, 0.0, 0.0)
+    res = _resonant_parts(molecule, cavity, z, n_th, cfg, deriv)
     return PotentialComponents(
         z=z,
         temperature=temperature,
@@ -309,40 +276,6 @@ def potential_components(
         u1e_res=res[1],
         u0c_res=res[2],
         u1c_res=res[3],
-        resonant_included=include_res,
-    )
-
-
-def potential_zero_T(
-    molecule: MoleculeSpec,
-    cavity: CavitySpec,
-    z: float,
-    state: State = State.EXCITED,
-    cfg: PotentialConfig | None = None,
-    *,
-    deriv: int = 0,
-) -> PotentialComponents:
-    """Zero-temperature potential components at z."""
-    return potential_components(
-        molecule, cavity, z, 0.0, cfg, state=state, deriv=deriv
-    )
-
-
-def potential_thermal(
-    molecule: MoleculeSpec,
-    cavity: CavitySpec,
-    z: float,
-    temperature: float,
-    state: State = State.EXCITED,
-    cfg: PotentialConfig | None = None,
-    *,
-    deriv: int = 0,
-) -> PotentialComponents:
-    """Finite-temperature potential components at z (T > 0)."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be > 0; use potential_zero_T at T = 0")
-    return potential_components(
-        molecule, cavity, z, temperature, cfg, state=state, deriv=deriv
     )
 
 
@@ -427,37 +360,44 @@ def component_grid(
     return out
 
 
+def driven_pair(grid: dict[str, np.ndarray], molecule: MoleculeSpec, drive: DriveSpec):
+    """Driven potentials of the molecule and of its mirror image on a grid.
+
+    grid is component_grid output for the molecule as passed; the mirror
+    molecule's chiral columns negate. Returns (U, U_mirror) with
+    U = p0_bar (u0e + u0c) + p1_bar (u1e + u1c) and U_mirror the same with
+    u0c, u1c negated.
+    """
+    p0, p1 = time_averaged_populations(drive.rabi(molecule), drive.detuning_delta)
+    u_self = p0 * (grid["u0e"] + grid["u0c"]) + p1 * (grid["u1e"] + grid["u1c"])
+    u_mirror = p0 * (grid["u0e"] - grid["u0c"]) + p1 * (grid["u1e"] - grid["u1c"])
+    return u_self, u_mirror
+
+
 def potential_curve(
     molecule: MoleculeSpec,
     cavity: CavitySpec,
     drive: DriveSpec,
     z_values,
     cfg: PotentialConfig | None = None,
-    *,
-    include_mirror_enantiomer: bool = True,
 ) -> PotentialCurve:
     """Potential components and driven combination over a z grid.
 
-    Columns: U0e_J, U1e_J, U0c_J, U1c_J, U_driven_J and (by default)
-    U_driven_neg_J for the opposite enantiomer. The chiral columns refer
-    to the molecule as passed.
+    Columns: U0e_J, U1e_J, U0c_J, U1c_J, U_driven_J and U_driven_neg_J for
+    the opposite enantiomer. The chiral columns refer to the molecule as
+    passed.
     """
     z_values = np.asarray(z_values, dtype=float)
     grid = component_grid(molecule, cavity, z_values, drive.temperature, cfg)
-    p0, p1 = time_averaged_populations(drive.rabi(molecule), drive.detuning_delta)
-    u0 = grid["u0e"] + grid["u0c"]
-    u1 = grid["u1e"] + grid["u1c"]
+    u_self, u_mirror = driven_pair(grid, molecule, drive)
     columns = {
         "U0e_J": grid["u0e"],
         "U1e_J": grid["u1e"],
         "U0c_J": grid["u0c"],
         "U1c_J": grid["u1c"],
-        "U_driven_J": p0 * u0 + p1 * u1,
+        "U_driven_J": u_self,
+        "U_driven_neg_J": u_mirror,
     }
-    if include_mirror_enantiomer:
-        u0n = grid["u0e"] - grid["u0c"]
-        u1n = grid["u1e"] - grid["u1c"]
-        columns["U_driven_neg_J"] = p0 * u0n + p1 * u1n
     return PotentialCurve(z=z_values, columns=columns)
 
 
@@ -533,13 +473,11 @@ def barrier_report(
     evaluated from a single component scan (chiral parts negate).
     """
     a = cavity.width_a
-    p0, p1 = time_averaged_populations(drive.rabi(molecule), drive.detuning_delta)
     approach = np.geomspace(z_min, a / 2.0, n_grid)
     z_grid = approach if side is Side.A else a - approach
 
     grid = component_grid(molecule, cavity, z_grid, drive.temperature, cfg)
-    u_pos = p0 * (grid["u0e"] + grid["u0c"]) + p1 * (grid["u1e"] + grid["u1c"])
-    u_neg = p0 * (grid["u0e"] - grid["u0c"]) + p1 * (grid["u1e"] - grid["u1c"])
+    u_pos, u_neg = driven_pair(grid, molecule, drive)
 
     def u_of_z(mol):
         return lambda z: driven_potential(mol, cavity, drive, float(z), cfg)

@@ -11,12 +11,15 @@ Three entry points:
 * sum_series -- convergence-controlled summation of eventually-decaying
   series (Matsubara sums, image expansions).
 
-All routines accept real or complex integrands. Integrand callables may be
-vectorized over numpy arrays; scalar-only callables are detected and looped.
+All routines accept real or complex integrands. Integrands are vectorized:
+called with an array of nodes, they return values of the same shape
+(otherwise TypeError). A value that is not finite raises ConvergenceError
+instead of being returned.
 """
 
 from __future__ import annotations
 
+import cmath
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,20 +48,12 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 0.0
     max_subdivisions: int = 512
-    oscillatory_method: str = "filon_clenshaw_curtis"
 
     def __post_init__(self):
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be > 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.oscillatory_method not in (
-            "filon_clenshaw_curtis",
-            "panel_per_half_period",
-        ):
-            raise ValueError(
-                f"unknown oscillatory_method {self.oscillatory_method!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -120,28 +115,29 @@ _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:-1:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
-class _Integrand:
-    """Wraps a user callable; detects vectorized evaluation on first use."""
+def _vectorized(f: Callable) -> Callable:
+    """f with the rule that its values have the shape of its nodes."""
 
-    def __init__(self, f: Callable):
-        self._f = f
-        self._vectorized = None
+    def call(x: np.ndarray) -> np.ndarray:
+        v = np.asarray(f(x))
+        if v.shape != x.shape:
+            raise TypeError(
+                f"integrand returned shape {v.shape} for nodes of shape "
+                f"{x.shape}; integrands must be vectorized"
+            )
+        return v
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self._vectorized is None:
-            try:
-                v = np.asarray(self._f(x))
-                self._vectorized = v.shape == x.shape
-                if self._vectorized:
-                    return v
-            except Exception:
-                self._vectorized = False
-        if self._vectorized:
-            return np.asarray(self._f(x))
-        return np.array([self._f(xi) for xi in x])
+    return call
 
 
-def _gk15(f: _Integrand, a: float, b: float):
+def _finite(value, what: str):
+    """value itself, or ConvergenceError when it is inf or nan."""
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"{what} is not finite ({value})", estimate=value)
+    return value
+
+
+def _gk15(f: Callable, a: float, b: float):
     """One Gauss-Kronrod 15(7) evaluation: (kronrod_value, error_estimate)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -172,17 +168,15 @@ def integrate_adaptive(
         s = float(decay_scale) if decay_scale else 1.0
         if s <= 0:
             raise ValueError("decay_scale must be > 0")
-        raw = _Integrand(f)
+        raw = _vectorized(f)
 
-        def mapped(t):
+        def g(t):
             x = lower + s * t / (1.0 - t)
             return raw(x) * (s / (1.0 - t) ** 2)
 
-        g = _Integrand(mapped)
-        g._vectorized = True  # the wrapper handles both modes internally
         lo, hi = 0.0, 1.0
     else:
-        g = _Integrand(f)
+        g = _vectorized(f)
         lo, hi = float(lower), float(upper)
         if lo == hi:
             return IntegralResult(0.0, 0.0)
@@ -195,7 +189,7 @@ def integrate_adaptive(
     total_err = err
     for _ in range(cfg.max_subdivisions):
         if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            return IntegralResult(total, total_err)
+            return IntegralResult(_finite(total, "adaptive quadrature"), total_err)
         neg_err, _, a, b, v, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         v1, e1 = _gk15(g, a, mid)
@@ -207,7 +201,7 @@ def integrate_adaptive(
         counter += 1
         heapq.heappush(heap, (-e2, counter, mid, b, v2, e2))
     if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        return IntegralResult(total, total_err)
+        return IntegralResult(_finite(total, "adaptive quadrature"), total_err)
     raise ConvergenceError(
         f"adaptive quadrature did not converge after {cfg.max_subdivisions} "
         f"subdivisions (error {total_err:.3e} on value {abs(total):.3e})",
@@ -258,7 +252,7 @@ def _legendre_phase_moments(n: int, theta: float) -> np.ndarray:
     return m
 
 
-def _filon_cc(g: _Integrand, lower, upper, phase_rate, cfg) -> complex:
+def _filon_cc(g: Callable, lower, upper, phase_rate, cfg) -> complex:
     half = 0.5 * (upper - lower)
     mid = 0.5 * (upper + lower)
     theta = phase_rate * half
@@ -274,35 +268,13 @@ def _filon_cc(g: _Integrand, lower, upper, phase_rate, cfg) -> complex:
         val = prefactor * np.sum(b * _legendre_phase_moments(n, theta))
         if prev is not None:
             if abs(val - prev) <= max(cfg.abs_tol, cfg.rel_tol * abs(val)):
-                return val
+                return _finite(val, "oscillatory quadrature")
         prev = val
         n *= 2
     raise ConvergenceError(
         "oscillatory quadrature: amplitude not resolved by 1024 Chebyshev modes",
         estimate=prev,
     )
-
-
-def _panel_per_half_period(g, lower, upper, phase_rate, cfg) -> complex:
-    width = np.pi / abs(phase_rate)
-    edges = np.arange(lower, upper, width)
-    edges = np.append(edges, upper)
-    raw = _Integrand(g)
-
-    def integrand(k):
-        return raw(k) * np.exp(1j * phase_rate * k)
-
-    total = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        # Per-panel tolerance is relative to the running panel values; a
-        # loose absolute floor keeps near-zero panels from thrashing.
-        panel_cfg = QuadratureConfig(
-            rel_tol=cfg.rel_tol,
-            abs_tol=max(cfg.abs_tol, cfg.rel_tol * abs(total) / max(len(edges), 1)),
-            max_subdivisions=cfg.max_subdivisions,
-        )
-        total += integrate_adaptive(integrand, a, b, panel_cfg).value
-    return total
 
 
 def integrate_oscillatory(
@@ -315,7 +287,7 @@ def integrate_oscillatory(
     """Integral of g(k) * exp(i * phase_rate * k) dk over [lower, upper].
 
     g must be smooth on the interval; phase_rate * (upper - lower) may span
-    thousands of periods. The default Filon-Clenshaw-Curtis rule expands the
+    thousands of periods. The Filon-Clenshaw-Curtis rule expands the
     amplitude in Chebyshev polynomials (sampled at Clenshaw-Curtis points),
     converts to Legendre coefficients and applies analytic phase moments
     2 i^n j_n(theta), so its cost is set by the smoothness of g alone.
@@ -325,10 +297,7 @@ def integrate_oscillatory(
         return 0.0 + 0.0j
     if phase_rate == 0.0:
         return complex(integrate_adaptive(g, lower, upper, cfg).value)
-    wrapped = _Integrand(g)
-    if cfg.oscillatory_method == "panel_per_half_period":
-        return _panel_per_half_period(wrapped, lower, upper, phase_rate, cfg)
-    return _filon_cc(wrapped, lower, upper, phase_rate, cfg)
+    return _filon_cc(_vectorized(g), lower, upper, phase_rate, cfg)
 
 
 def sum_series(
@@ -343,7 +312,8 @@ def sum_series(
     The rule is term-magnitude based: for slowly decaying series (power-law
     tails) the discarded tail can exceed rel_tol * |sum| even though every
     discarded term is individually below it; exponentially decaying series
-    (the Matsubara use case) meet the relative tolerance outright.
+    (the Matsubara use case) meet the relative tolerance outright. A sum
+    that is not finite raises ConvergenceError.
     """
     cfg = cfg or SeriesConfig()
     total = weight_j0 * term(0)
@@ -356,7 +326,7 @@ def sum_series(
         if abs(t) <= cfg.rel_tol * abs(total):
             below += 1
             if below >= cfg.tail_check_window:
-                return total
+                return _finite(total, "series")
         else:
             below = 0
     raise ConvergenceError(

@@ -91,17 +91,13 @@ def test_mirror_coefficient_bounds():
     with pytest.raises(ValueError):
         MirrorSpec(0.0, -1.1, Side.A)
     with pytest.raises(ValueError):
-        MirrorSpec(0.8, 0.8, Side.A)  # energy: r_e^2 + r_c^2 must stay <= 1
-
-
-def test_swapped_round_trip():
-    cav = CavitySpec(
-        2e-3, MirrorSpec(0.1, 0.5, Side.A), MirrorSpec(0.2, -0.3, Side.B)
-    )
-    sw = cav.swapped()
-    assert (sw.mirror_A.r_e, sw.mirror_A.r_c) == (0.2, -0.3)
-    assert (sw.mirror_B.r_e, sw.mirror_B.r_c) == (0.1, 0.5)
-    assert sw.swapped() == cav
+        MirrorSpec(0.8, 0.8, Side.A)
+    # singular values |r_e +- r_c|: (0.6, 0.8) would reflect with gain 1.4
+    with pytest.raises(ValueError, match="passivity"):
+        MirrorSpec(0.6, 0.8, Side.A)
+    with pytest.raises(ValueError, match="passivity"):
+        MirrorSpec(0.6, -0.8, Side.B)
+    MirrorSpec(0.2, -0.8, Side.B)
 
 
 # ----------------------------------------------------------------------

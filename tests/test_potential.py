@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from chiralcp import (
     DriveSpec,
     Side,
-    State,
     alpha_isotropic,
     barrier_report,
     component_grid,
@@ -21,8 +20,6 @@ from chiralcp import (
     molecule_preset,
     potential_components,
     potential_curve,
-    potential_thermal,
-    potential_zero_T,
     symmetric_cavity,
 )
 from chiralcp.potential import alpha_static
@@ -58,7 +55,7 @@ def test_gamma_rotatory_structure(mol_3mcp):
 def test_nonresonant_cancellation_is_exact(mol_3mcp, cavity_1mm):
     """Ground and excited nonresonant parts cancel pairwise, bit for bit."""
     for z in (50e-9, 1e-6, 4e-4):
-        c = potential_zero_T(mol_3mcp, cavity_1mm, z)
+        c = potential_components(mol_3mcp, cavity_1mm, z)
         assert c.u1e_nonres == -c.u0e_nonres
         assert c.u1c_nonres == -c.u0c_nonres
 
@@ -67,32 +64,26 @@ def test_chiral_antisymmetry_is_exact(mol_3mcp, cavity_1mm):
     """The mirror-image molecule sees exactly negated chiral components."""
     minus = mol_3mcp.with_enantiomer(-1)
     for z in (80e-9, 3e-6):
-        cp = potential_zero_T(mol_3mcp, cavity_1mm, z)
-        cm = potential_zero_T(minus, cavity_1mm, z)
-        assert cm.u0c_nonres == -cp.u0c_nonres
-        assert cm.u0c_res == -cp.u0c_res
-        assert cm.u1c_res == -cp.u1c_res
-        assert cm.u0e_nonres == cp.u0e_nonres
-        assert cm.u1e_res == cp.u1e_res
-        assert cm == cp.flip_enantiomer()
+        cp = potential_components(mol_3mcp, cavity_1mm, z)
+        cm = potential_components(minus, cavity_1mm, z)
+        for part in ("u0c_nonres", "u1c_nonres", "u0c_res", "u1c_res"):
+            assert getattr(cm, part) == -getattr(cp, part)
+        for part in ("u0e_nonres", "u1e_nonres", "u0e_res", "u1e_res"):
+            assert getattr(cm, part) == getattr(cp, part)
 
 
 def test_ground_state_skips_resonant_at_zero_t(mol_3mcp, cavity_1mm):
-    g = potential_zero_T(mol_3mcp, cavity_1mm, 1e-6, state=State.GROUND)
-    assert not g.resonant_included
-    assert g.u0e_res == g.u1e_res == g.u0c_res == g.u1c_res == 0.0
-    e = potential_zero_T(mol_3mcp, cavity_1mm, 1e-6)
-    assert e.resonant_included
-    # the ground-state potential itself is unaffected by the skip at T = 0
-    assert g.u0 == pytest.approx(e.u0e_nonres + e.u0c_nonres, rel=1e-12)
+    """At T = 0 only the excited state has a resonant part."""
+    c = potential_components(mol_3mcp, cavity_1mm, 1e-6)
+    assert c.u0e_res == c.u0c_res == 0.0
+    assert c.u1e_res != 0.0 and c.u1c_res != 0.0
+    assert c.u0 == c.u0e_nonres + c.u0c_nonres
 
 
 def test_weighted_and_state_accessors(mol_3mcp, cavity_1mm):
-    c = potential_zero_T(mol_3mcp, cavity_1mm, 5e-7)
+    c = potential_components(mol_3mcp, cavity_1mm, 5e-7)
     assert c.u0 == c.u0e + c.u0c
     assert c.u1 == c.u1e + c.u1c
-    assert c.state_potential(State.GROUND) == c.u0
-    assert c.state_potential(State.EXCITED) == c.u1
     assert c.weighted(0.25, 0.75) == pytest.approx(
         0.25 * c.u0 + 0.75 * c.u1, rel=1e-14
     )
@@ -117,7 +108,7 @@ def test_near_field_slope_is_inverse_cube(mol_propylene):
     z = np.geomspace(2e-8, lam / 50.0, 12)
     u = np.array(
         [
-            potential_zero_T(mol_propylene, cav, float(zz), state=State.GROUND).u0
+            potential_components(mol_propylene, cav, float(zz)).u0
             for zz in z
         ]
     )
@@ -137,7 +128,7 @@ def test_thermal_frozen_values_and_growth(mol_propylene, cavity_1mm):
     }
     got = {}
     for T, (u0_mag, u1_mag) in expect.items():
-        c = potential_thermal(mol_propylene, cavity_1mm, z, T)
+        c = potential_components(mol_propylene, cavity_1mm, z, T)
         got[T] = (abs(c.u0), abs(c.u1))
         assert abs(c.u0) == pytest.approx(u0_mag, rel=2e-3)
         assert abs(c.u1) == pytest.approx(u1_mag, rel=2e-3)
@@ -148,8 +139,8 @@ def test_thermal_frozen_values_and_growth(mol_propylene, cavity_1mm):
 def test_zero_temperature_limit(mol_3mcp, cavity_1mm):
     """T = 1 K reproduces the zero-T integral to far better than 1e-4."""
     z = 100e-9
-    cold = potential_thermal(mol_3mcp, cavity_1mm, z, 1.0)
-    zero = potential_zero_T(mol_3mcp, cavity_1mm, z)
+    cold = potential_components(mol_3mcp, cavity_1mm, z, 1.0)
+    zero = potential_components(mol_3mcp, cavity_1mm, z)
     for attr in ("u0e_nonres", "u0c_nonres", "u1e_res", "u1c_res"):
         assert getattr(cold, attr) == pytest.approx(
             getattr(zero, attr), rel=1e-4
@@ -157,8 +148,8 @@ def test_zero_temperature_limit(mol_3mcp, cavity_1mm):
 
 
 def test_thermal_input_validation(mol_3mcp, cavity_1mm):
-    with pytest.raises(ValueError):
-        potential_thermal(mol_3mcp, cavity_1mm, 1e-6, 0.0)
+    with pytest.raises(ValueError, match="temperature"):
+        potential_components(mol_3mcp, cavity_1mm, 1e-6, -1.0)
     with pytest.raises(ValueError):
         potential_components(mol_3mcp, cavity_1mm, -1e-9)
 
@@ -179,7 +170,7 @@ def test_force_matches_finite_difference(z, mol_3mcp, cavity_1mm, drive_ref):
 def test_ground_state_attraction_toward_mirror(mol_3mcp, cavity_1mm):
     """Undriven molecules are pulled into the nearest mirror (no barrier)."""
     for z in (30e-9, 300e-9, 3e-6):
-        du = potential_zero_T(mol_3mcp, cavity_1mm, z, state=State.GROUND, deriv=1).u0
+        du = potential_components(mol_3mcp, cavity_1mm, z, deriv=1).u0
         assert du > 0.0  # F = -dU/dz < 0: toward mirror A
 
 
@@ -213,7 +204,7 @@ def test_component_grid_matches_pointwise(mol_3mcp, cavity_1mm):
     z = np.array([70e-9, 900e-9])
     grid = component_grid(mol_3mcp, cavity_1mm, z)
     for i, zz in enumerate(z):
-        c = potential_zero_T(mol_3mcp, cavity_1mm, float(zz))
+        c = potential_components(mol_3mcp, cavity_1mm, float(zz))
         assert grid["u0e"][i] == pytest.approx(c.u0e, rel=1e-12)
         assert grid["u1c"][i] == pytest.approx(c.u1c, rel=1e-12)
 

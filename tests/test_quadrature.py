@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from chiralcp.quadrature import (
     ConvergenceError,
@@ -101,12 +102,24 @@ def test_oscillatory_zero_phase_falls_back():
     assert integrate_oscillatory(lambda x: x, 1e6, 3.0, 3.0) == 0.0
 
 
-def test_oscillatory_panel_method_agrees():
+def test_oscillatory_matches_scipy_qawo():
+    """Filon-Clenshaw-Curtis against QUADPACK's cos/sin-weighted rule."""
     w, L = 300.0, 4.0
-    cfg = QuadratureConfig(oscillatory_method="panel_per_half_period")
-    val = integrate_oscillatory(lambda x: 1.0 / (1.0 + x), w, 0.0, L, cfg)
-    ref = integrate_oscillatory(lambda x: 1.0 / (1.0 + x), w, 0.0, L)
-    assert val == pytest.approx(ref, rel=1e-7)
+    val = integrate_oscillatory(lambda x: 1.0 / (1.0 + x), w, 0.0, L)
+    re_ref, _ = quad(lambda x: 1.0 / (1.0 + x), 0.0, L, weight="cos", wvar=w)
+    im_ref, _ = quad(lambda x: 1.0 / (1.0 + x), 0.0, L, weight="sin", wvar=w)
+    assert val.real == pytest.approx(re_ref, rel=1e-7)
+    assert val.imag == pytest.approx(im_ref, rel=1e-7)
+
+
+def test_integrands_must_be_vectorized():
+    """A value per call instead of a value per node is a TypeError."""
+    with pytest.raises(TypeError, match="vectorized"):
+        integrate_adaptive(lambda x: 1.0, 0.0, 1.0)
+    with pytest.raises(TypeError, match="vectorized"):
+        integrate_adaptive(lambda x: 1.0, 0.0, np.inf)
+    with pytest.raises(TypeError, match="vectorized"):
+        integrate_oscillatory(lambda x: 1.0, 10.0, 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -139,6 +152,11 @@ def test_power_law_tail_documented_rule():
     cfg = SeriesConfig(rel_tol=1e-8, max_terms=200000)
     val = sum_series(lambda j: 1.0 / (1.0 + j) ** 2, cfg=cfg)
     assert abs(val - math.pi**2 / 6.0) < 2e-4
+
+
+def test_non_finite_series_raises():
+    with pytest.raises(ConvergenceError, match="not finite"):
+        sum_series(lambda j: math.inf if j == 5 else 0.5**j)
 
 
 def test_harmonic_series_raises():
