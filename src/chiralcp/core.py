@@ -189,24 +189,13 @@ def rabi_from_intensity(d01: float, intensity: float) -> float:
     return 2.0 * d_cgs * math.sqrt(2.0 * math.pi * i_cgs / _C_CGS) / _HBAR_CGS
 
 
-def populations(omega_rabi: float, detuning: float, t: float):
-    """Instantaneous two-level populations (p0, p1) under constant drive.
-
-    p1 = Omega^2/(Delta^2+Omega^2) sin^2(sqrt(Delta^2+Omega^2) t / 2) and
-    p0 = 1 - p1 exactly.
-    """
-    w2 = omega_rabi**2 + detuning**2
-    if w2 == 0.0:
-        return 1.0, 0.0
-    p1 = (omega_rabi**2 / w2) * math.sin(0.5 * math.sqrt(w2) * t) ** 2
-    return 1.0 - p1, p1
-
-
 def time_averaged_populations(omega_rabi: float, detuning: float):
-    """Cycle-averaged populations (p0_bar, p1_bar).
+    """Cycle-averaged two-level populations (p0_bar, p1_bar).
 
-    The Rabi cycle (~1e-7 s here) is far shorter than motional timescales
-    (~1 s), so the trajectory force uses these averages: sin^2 -> 1/2.
+    The excited population p1 = Omega^2/W^2 sin^2(W t / 2), with
+    W^2 = Delta^2 + Omega^2, cycles on ~1e-7 s here, far shorter than
+    motional timescales (~1 s), so the trajectory force uses the averages:
+    sin^2 -> 1/2.
     """
     w2 = omega_rabi**2 + detuning**2
     if w2 == 0.0:

@@ -27,9 +27,8 @@ Conventions for the real-frequency operations:
 * trace_curl_G_real_resonant returns the full complex value C(z) with
   tr[curl Re G(r, r, omega)] = Re(C).
 
-Every operation accepts deriv=1 to return its analytic d/dz instead; the
-z-dependence sits entirely in the exponential phase factors, so the
-derivative just lowers one extra moment.
+The operations return values only; forces come from the spline fit of the
+driven potential (dynamics.force_field_pair), not from an analytic d/dz.
 """
 
 from __future__ import annotations
@@ -169,70 +168,54 @@ def _osc_moments(q, beta, nmax):
 
 # ----------------------------------------------------------------------
 # Per-image trace kernels. Each returns one side's image contribution with
-# all prefactors included except where noted. dXdz is +1 for side-A images
-# (X = z + n a), -1 for side-B images (X = (a - z) + n a).
+# all prefactors included except where noted. X is the image's optical
+# distance: z + n a on side A, (a - z) + n a on side B.
 
-def _tg_imag_terms(xi, X, e, dXdz, deriv, mu=None):
+def _tg_imag_terms(xi, X, e, mu=None):
     c = CONST.c
     if mu is None:
         mu = np.asarray(xi) / c
     beta = 2.0 * np.asarray(X, dtype=float)
-    E = _exp_moments(mu, beta, 2 + deriv)
+    E = _exp_moments(mu, beta, 2)
     pref = -(e * c**2) / (2.0 * np.pi * np.asarray(xi) ** 2)
-    if deriv == 0:
-        return pref * E[2]
-    return pref * (2.0 * dXdz) * (-E[3])
+    return pref * E[2]
 
 
-def _tc_imag_terms(xi, X, g, side_sign, dXdz, deriv, mu=None):
+def _tc_imag_terms(xi, X, g, side_sign, mu=None):
     c = CONST.c
     xi = np.asarray(xi)
     if mu is None:
         mu = xi / c
     beta = 2.0 * np.asarray(X, dtype=float)
-    E = _exp_moments(mu, beta, 2 + deriv)
+    E = _exp_moments(mu, beta, 2)
     pref = -side_sign * (xi * g) / (2.0 * np.pi * c)
     c2_xi2 = (c / xi) ** 2
-    if deriv == 0:
-        return pref * (c2_xi2 * E[2] - E[0])
-    return pref * (2.0 * dXdz) * (-c2_xi2 * E[3] + E[1])
+    return pref * (c2_xi2 * E[2] - E[0])
 
 
-def _bracket_e_terms(omega, X, e, dXdz, deriv, mu_ev=0.0, traveling=True):
+def _bracket_e_terms(omega, X, e, mu_ev=0.0, traveling=True):
     """Electric bracket of one image; trace_G_real sums these over 4 pi."""
     q = omega / CONST.c
     beta = 2.0 * np.asarray(X, dtype=float)
     out = np.zeros(beta.shape, dtype=complex) if beta.ndim else 0.0 + 0.0j
     if traveling:
-        I = _osc_moments(q, beta, 2 + deriv)
-        if deriv == 0:
-            out = out - (2.0 * e / q**2) * I[2]
-        else:
-            out = out - (2.0 * e / q**2) * (2.0 * dXdz) * 1j * I[3]
-    E = _exp_moments(mu_ev, beta, 2 + deriv)
-    if deriv == 0:
-        ev = (2.0 * e / q**2) * E[2]
-    else:
-        ev = (2.0 * e / q**2) * (2.0 * dXdz) * (-E[3])
+        I = _osc_moments(q, beta, 2)
+        out = out - (2.0 * e / q**2) * I[2]
+    E = _exp_moments(mu_ev, beta, 2)
+    ev = (2.0 * e / q**2) * E[2]
     return out + (-1j) * ev
 
 
-def _tc_real_terms(omega, X, g, side_sign, dXdz, deriv, mu_ev=0.0, traveling=True):
+def _tc_real_terms(omega, X, g, side_sign, mu_ev=0.0, traveling=True):
     """Chiral combination of one image; trace_curl_G_real applies omega/4 pi c."""
     q = omega / CONST.c
     beta = 2.0 * np.asarray(X, dtype=float)
     out = np.zeros(beta.shape, dtype=complex) if beta.ndim else 0.0 + 0.0j
     if traveling:
-        I = _osc_moments(q, beta, 2 + deriv)
-        if deriv == 0:
-            out = out + (I[0] - I[2] / q**2)
-        else:
-            out = out + (2.0 * dXdz) * 1j * (I[1] - I[3] / q**2)
-    E = _exp_moments(mu_ev, beta, 2 + deriv)
-    if deriv == 0:
-        ev = E[0] + E[2] / q**2
-    else:
-        ev = (2.0 * dXdz) * (-E[1] - E[3] / q**2)
+        I = _osc_moments(q, beta, 2)
+        out = out + (I[0] - I[2] / q**2)
+    E = _exp_moments(mu_ev, beta, 2)
+    ev = E[0] + E[2] / q**2
     return side_sign * 2.0 * g * (out + (-1j) * ev)
 
 
@@ -282,7 +265,7 @@ def _cutoff_kappa(cavity, z, cfg, lower=0.0):
     return lower + math.log(1.0 / cfg.evanescent_cutoff_weight) / (2.0 * zmin_side)
 
 
-def _direct_imag(xi, z, cavity, cfg, chiral, deriv):
+def _direct_imag(xi, z, cavity, cfg, chiral):
     a = cavity.width_a
     c = CONST.c
     mu = xi / c
@@ -293,9 +276,6 @@ def _direct_imag(xi, z, cavity, cfg, chiral, deriv):
         MA, MB = _direct_matrices(cavity, np.exp(-2.0 * a * kappa))
         wA = np.exp(-2.0 * kappa * z)
         wB = np.exp(-2.0 * kappa * (a - z))
-        if deriv:
-            wA = wA * (-2.0 * kappa)
-            wB = wB * (2.0 * kappa)
         x2 = (kappa * c / xi) ** 2
         if chiral:
             facC = 2.0 * x2 - 1.0
@@ -315,16 +295,16 @@ def _direct_imag(xi, z, cavity, cfg, chiral, deriv):
 
         def sides(lower):
             return (
-                _tc_imag_terms(xi, z, gA, +1, +1, deriv, mu=lower),
-                _tc_imag_terms(xi, a - z, gB, -1, -1, deriv, mu=lower),
+                _tc_imag_terms(xi, z, gA, +1, mu=lower),
+                _tc_imag_terms(xi, a - z, gB, -1, mu=lower),
             )
     else:
         weight = 1.0 / (4.0 * np.pi)
 
         def sides(lower):
             return (
-                _tg_imag_terms(xi, z, eA, +1, deriv, mu=lower),
-                _tg_imag_terms(xi, a - z, eB, -1, deriv, mu=lower),
+                _tg_imag_terms(xi, z, eA, mu=lower),
+                _tg_imag_terms(xi, a - z, eB, mu=lower),
             )
 
     # The two sides cancel pointwise at z = a/2 of a symmetric cavity, where
@@ -340,7 +320,7 @@ def _direct_imag(xi, z, cavity, cfg, chiral, deriv):
     return float(main / (4.0 * np.pi) + (tail_A + tail_B))
 
 
-def _direct_real(omega, z, cavity, cfg, chiral, deriv):
+def _direct_real(omega, z, cavity, cfg, chiral):
     a = cavity.width_a
     c = CONST.c
     q = omega / c
@@ -361,9 +341,6 @@ def _direct_real(omega, z, cavity, cfg, chiral, deriv):
                 val = MA[:, 0, 0] - facG * MA[:, 1, 1]
             else:
                 val = MB[:, 0, 0] - facG * MB[:, 1, 1]
-        if deriv:
-            rate = 2j * k if side == "A" else -2j * k
-            val = val * rate
         return val
 
     trav = integrate_oscillatory(
@@ -379,9 +356,6 @@ def _direct_real(omega, z, cavity, cfg, chiral, deriv):
         MA, MB = _direct_matrices(cavity, np.exp(-2.0 * a * kappa))
         wA = np.exp(-2.0 * kappa * z)
         wB = np.exp(-2.0 * kappa * (a - z))
-        if deriv:
-            wA = wA * (-2.0 * kappa)
-            wB = wB * (2.0 * kappa)
         r2 = (kappa / q) ** 2
         if chiral:
             facC = 1.0 + 2.0 * r2
@@ -399,18 +373,12 @@ def _direct_real(omega, z, cavity, cfg, chiral, deriv):
 
     eA, gA, eB, gB = image_strengths(cavity, 0)
     if chiral:
-        tail = _tc_real_terms(
-            omega, z, gA, +1, +1, deriv, mu_ev=kappa_max, traveling=False
-        ) + _tc_real_terms(
-            omega, a - z, gB, -1, -1, deriv, mu_ev=kappa_max, traveling=False
+        tail = _tc_real_terms(omega, z, gA, +1, mu_ev=kappa_max, traveling=False) + (
+            _tc_real_terms(omega, a - z, gB, -1, mu_ev=kappa_max, traveling=False)
         )
-        return complex(
-            (omega / (4.0 * np.pi * c)) * (trav + (-1j) * evan + tail)
-        )
-    tail = _bracket_e_terms(
-        omega, z, eA, +1, deriv, mu_ev=kappa_max, traveling=False
-    ) + _bracket_e_terms(
-        omega, a - z, eB, -1, deriv, mu_ev=kappa_max, traveling=False
+        return complex((omega / (4.0 * np.pi * c)) * (trav + (-1j) * evan + tail))
+    tail = _bracket_e_terms(omega, z, eA, mu_ev=kappa_max, traveling=False) + (
+        _bracket_e_terms(omega, a - z, eB, mu_ev=kappa_max, traveling=False)
     )
     return complex((trav + (-1j) * evan + tail) / (4.0 * np.pi))
 
@@ -423,25 +391,23 @@ def _check_args(z, cavity, cfg):
     return cfg or _DEFAULT_CFG
 
 
-def _imaginary_trace(xi_arr, z, cavity, cfg, chiral, deriv):
+def _imaginary_trace(xi_arr, z, cavity, cfg, chiral):
     if xi_arr.ndim and cfg.path != "single":
-        return np.array(
-            [_imaginary_trace(x, z, cavity, cfg, chiral, deriv) for x in xi_arr]
-        )
+        return np.array([_imaginary_trace(x, z, cavity, cfg, chiral) for x in xi_arr])
     if cfg.path == "direct":
-        return _direct_imag(float(xi_arr), z, cavity, cfg, chiral, deriv)
+        return _direct_imag(float(xi_arr), z, cavity, cfg, chiral)
     if chiral:
         def term(X, s, e, g):
-            return _tc_imag_terms(xi_arr, X, g, s, s, deriv)
+            return _tc_imag_terms(xi_arr, X, g, s)
     else:
         def term(X, s, e, g):
-            return _tg_imag_terms(xi_arr, X, e, s, deriv)
+            return _tg_imag_terms(xi_arr, X, e)
     val = _image_sum(cavity, z, cfg, term)
     return val if xi_arr.ndim else float(val)
 
 
-def trace_G_imaginary(xi, z, cavity: CavitySpec, cfg: GreensConfig | None = None, *, deriv: int = 0):
-    """tr G(r, r, i xi), real-valued (1/m); deriv=1 gives d/dz (1/m^2).
+def trace_G_imaginary(xi, z, cavity: CavitySpec, cfg: GreensConfig | None = None):
+    """tr G(r, r, i xi), real-valued (1/m).
 
     xi may be a positive float or an array of positive floats (the array
     form is supported on the "single" path and looped otherwise).
@@ -450,49 +416,45 @@ def trace_G_imaginary(xi, z, cavity: CavitySpec, cfg: GreensConfig | None = None
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr <= 0):
         raise ValueError("xi must be > 0 (j = 0 term: trace_G_xi2_zero_limit)")
-    return _imaginary_trace(xi_arr, z, cavity, cfg, False, deriv)
+    return _imaginary_trace(xi_arr, z, cavity, cfg, False)
 
 
-def trace_curl_G_imaginary(xi, z, cavity: CavitySpec, cfg: GreensConfig | None = None, *, deriv: int = 0):
-    """tr[curl G](r, r, i xi), real-valued (1/m^2); deriv=1 gives d/dz."""
+def trace_curl_G_imaginary(xi, z, cavity: CavitySpec, cfg: GreensConfig | None = None):
+    """tr[curl G](r, r, i xi), real-valued (1/m^2)."""
     cfg = _check_args(z, cavity, cfg)
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr <= 0):
         raise ValueError("xi must be > 0 (the j = 0 chiral term vanishes)")
-    return _imaginary_trace(xi_arr, z, cavity, cfg, True, deriv)
+    return _imaginary_trace(xi_arr, z, cavity, cfg, True)
 
 
-def trace_G_real_resonant(omega, z, cavity: CavitySpec, cfg: GreensConfig | None = None, *, deriv: int = 0) -> complex:
+def trace_G_real_resonant(omega, z, cavity: CavitySpec, cfg: GreensConfig | None = None) -> complex:
     """Complex electric bracket B(z) with tr[Re G(r, r, omega)] = Re(i B).
 
-    Units 1/m (1/m^2 with deriv=1). The bracket combines the traveling
-    (oscillatory) and evanescent (decaying) branches of the k-integral.
+    Units 1/m. The bracket combines the traveling (oscillatory) and
+    evanescent (decaying) branches of the k-integral.
     """
     cfg = _check_args(z, cavity, cfg)
     if omega <= 0:
         raise ValueError("omega must be > 0")
     if cfg.path == "direct":
-        return _direct_real(omega, z, cavity, cfg, chiral=False, deriv=deriv)
-    val = _image_sum(
-        cavity, z, cfg, lambda X, s, e, g: _bracket_e_terms(omega, X, e, s, deriv)
-    )
+        return _direct_real(omega, z, cavity, cfg, chiral=False)
+    val = _image_sum(cavity, z, cfg, lambda X, s, e, g: _bracket_e_terms(omega, X, e))
     return complex(val / (4.0 * np.pi))
 
 
-def trace_curl_G_real_resonant(omega, z, cavity: CavitySpec, cfg: GreensConfig | None = None, *, deriv: int = 0) -> complex:
+def trace_curl_G_real_resonant(omega, z, cavity: CavitySpec, cfg: GreensConfig | None = None) -> complex:
     """Complex C(z) with tr[curl Re G(r, r, omega)] = Re(C); units 1/m^2."""
     cfg = _check_args(z, cavity, cfg)
     if omega <= 0:
         raise ValueError("omega must be > 0")
     if cfg.path == "direct":
-        return _direct_real(omega, z, cavity, cfg, chiral=True, deriv=deriv)
-    val = _image_sum(
-        cavity, z, cfg, lambda X, s, e, g: _tc_real_terms(omega, X, g, s, s, deriv)
-    )
+        return _direct_real(omega, z, cavity, cfg, chiral=True)
+    val = _image_sum(cavity, z, cfg, lambda X, s, e, g: _tc_real_terms(omega, X, g, s))
     return complex(omega / (4.0 * np.pi * CONST.c) * val)
 
 
-def trace_G_xi2_zero_limit(z, cavity: CavitySpec, cfg: GreensConfig | None = None, *, deriv: int = 0) -> float:
+def trace_G_xi2_zero_limit(z, cavity: CavitySpec, cfg: GreensConfig | None = None) -> float:
     """lim xi->0 of xi^2 tr G(r, r, i xi): the finite j = 0 Matsubara kernel.
 
     The raw trace diverges as 1/xi^2 while alpha(i xi) xi^2 stays finite;
@@ -506,10 +468,8 @@ def trace_G_xi2_zero_limit(z, cavity: CavitySpec, cfg: GreensConfig | None = Non
     c = CONST.c
 
     def term(X, s, e, g):
-        E = _exp_moments(0.0, 2.0 * X, 2 + deriv)
+        E = _exp_moments(0.0, 2.0 * X, 2)
         pref = -(e * c**2) / (2.0 * np.pi)
-        if deriv == 0:
-            return pref * E[2]
-        return pref * (2.0 * s) * (-E[3])
+        return pref * E[2]
 
     return float(_image_sum(cavity, z, cfg, term))

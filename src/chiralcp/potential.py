@@ -3,8 +3,9 @@
 Combines the molecular response functions with the Green's-tensor traces
 into the four potential components (ground/excited x electric/chiral), at
 zero temperature or at finite temperature via Matsubara summation, and
-derives from them the laser-driven potential, the force, and the barrier
-analysis used by the separation scheme.
+derives from them the laser-driven potential and the barrier analysis used
+by the separation scheme. The trajectory force is the derivative of a
+spline fit of the driven potential (dynamics.force_field_pair).
 
 Component structure (z-dependent scattering part only):
 
@@ -105,10 +106,9 @@ def alpha_static(molecule: MoleculeSpec) -> float:
 class PotentialComponents:
     """All potential components at one position (J), split nonres/resonant.
 
-    With deriv evaluations the same container holds d/dz of each part
-    (J/m); the algebraic relations between parts are identical. The chiral
-    parts are odd in R01: the mirror-image molecule sees them negated. At
-    T = 0 the ground state has no resonant part (u0e_res = u0c_res = 0).
+    The chiral parts are odd in R01: the mirror-image molecule sees them
+    negated. At T = 0 the ground state has no resonant part
+    (u0e_res = u0c_res = 0).
     """
 
     z: float
@@ -150,7 +150,7 @@ class PotentialComponents:
         return p0 * self.u0 + p1 * self.u1
 
 
-def _nonres_zero_T(molecule, cavity, z, cfg, deriv):
+def _nonres_zero_T(molecule, cavity, z, cfg):
     """(u0e_nonres, u0c_nonres) by quadrature over imaginary frequency.
 
     Substitutes xi = w10 tan(u) so the Lorentzian response and the
@@ -166,7 +166,7 @@ def _nonres_zero_T(molecule, cavity, z, cfg, deriv):
         return (
             xi**2
             * alpha_isotropic(molecule, xi)
-            * trace_G_imaginary(xi, z, cavity, cfg.greens, deriv=deriv)
+            * trace_G_imaginary(xi, z, cavity, cfg.greens)
             * jac
         )
 
@@ -177,7 +177,7 @@ def _nonres_zero_T(molecule, cavity, z, cfg, deriv):
         return (
             xi
             * gamma_rotatory(molecule, xi)
-            * trace_curl_G_imaginary(xi, z, cavity, cfg.greens, deriv=deriv)
+            * trace_curl_G_imaginary(xi, z, cavity, cfg.greens)
             * jac
         )
 
@@ -188,7 +188,7 @@ def _nonres_zero_T(molecule, cavity, z, cfg, deriv):
     return u0e, u0c
 
 
-def _nonres_thermal(molecule, cavity, z, T, cfg, deriv):
+def _nonres_thermal(molecule, cavity, z, T, cfg):
     """(u0e_nonres, u0c_nonres) by Matsubara summation at temperature T."""
     xi1 = 2.0 * np.pi * CONST.kB * T / CONST.hbar
 
@@ -196,14 +196,12 @@ def _nonres_thermal(molecule, cavity, z, T, cfg, deriv):
         if j == 0:
             # alpha(i xi) xi^2 tr G stays finite as xi -> 0; the Green's
             # layer exposes the combined limit.
-            return alpha_static(molecule) * trace_G_xi2_zero_limit(
-                z, cavity, cfg.greens, deriv=deriv
-            )
+            return alpha_static(molecule) * trace_G_xi2_zero_limit(z, cavity, cfg.greens)
         xi = xi1 * j
         return (
             xi**2
             * alpha_isotropic(molecule, xi)
-            * trace_G_imaginary(xi, z, cavity, cfg.greens, deriv=deriv)
+            * trace_G_imaginary(xi, z, cavity, cfg.greens)
         )
 
     def term_c(j):
@@ -213,7 +211,7 @@ def _nonres_thermal(molecule, cavity, z, T, cfg, deriv):
         return (
             xi
             * gamma_rotatory(molecule, xi)
-            * trace_curl_G_imaginary(xi, z, cavity, cfg.greens, deriv=deriv)
+            * trace_curl_G_imaginary(xi, z, cavity, cfg.greens)
         )
 
     s_e = sum_series(term_e, 0.5, cfg.matsubara)
@@ -223,11 +221,11 @@ def _nonres_thermal(molecule, cavity, z, T, cfg, deriv):
     return u0e, u0c
 
 
-def _resonant_parts(molecule, cavity, z, n_th, cfg, deriv):
+def _resonant_parts(molecule, cavity, z, n_th, cfg):
     """(u0e_res, u1e_res, u0c_res, u1c_res) from real-frequency traces."""
     w = molecule.omega10
-    bracket = trace_G_real_resonant(w, z, cavity, cfg.greens, deriv=deriv)
-    curl = trace_curl_G_real_resonant(w, z, cavity, cfg.greens, deriv=deriv)
+    bracket = trace_G_real_resonant(w, z, cavity, cfg.greens)
+    curl = trace_curl_G_real_resonant(w, z, cavity, cfg.greens)
     re_trace_G = (1j * bracket).real
     re_trace_curl = curl.real
     e_unit = (CONST.mu0 / 3.0) * w**2 * molecule.dipole_d01**2 * re_trace_G
@@ -245,10 +243,8 @@ def potential_components(
     z: float,
     temperature: float = 0.0,
     cfg: PotentialConfig | None = None,
-    *,
-    deriv: int = 0,
 ) -> PotentialComponents:
-    """All potential components at z; deriv=1 yields their d/dz instead.
+    """All potential components at z.
 
     temperature = 0 integrates the nonresonant parts over imaginary
     frequency; temperature > 0 sums them over Matsubara frequencies and
@@ -259,12 +255,12 @@ def potential_components(
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature!r}")
     if temperature > 0.0:
-        u0e_nr, u0c_nr = _nonres_thermal(molecule, cavity, z, temperature, cfg, deriv)
+        u0e_nr, u0c_nr = _nonres_thermal(molecule, cavity, z, temperature, cfg)
         n_th = thermal_photon_number(molecule.omega10, temperature)
     else:
-        u0e_nr, u0c_nr = _nonres_zero_T(molecule, cavity, z, cfg, deriv)
+        u0e_nr, u0c_nr = _nonres_zero_T(molecule, cavity, z, cfg)
         n_th = 0.0
-    res = _resonant_parts(molecule, cavity, z, n_th, cfg, deriv)
+    res = _resonant_parts(molecule, cavity, z, n_th, cfg)
     return PotentialComponents(
         z=z,
         temperature=temperature,
@@ -285,26 +281,11 @@ def driven_potential(
     drive: DriveSpec,
     z: float,
     cfg: PotentialConfig | None = None,
-    *,
-    deriv: int = 0,
 ) -> float:
     """U_CP(z) = p0_bar U0 + p1_bar U1 at the drive's temperature (J)."""
     p0, p1 = time_averaged_populations(drive.rabi(molecule), drive.detuning_delta)
-    comps = potential_components(
-        molecule, cavity, z, drive.temperature, cfg, deriv=deriv
-    )
+    comps = potential_components(molecule, cavity, z, drive.temperature, cfg)
     return comps.weighted(p0, p1)
-
-
-def force(
-    molecule: MoleculeSpec,
-    cavity: CavitySpec,
-    drive: DriveSpec,
-    z: float,
-    cfg: PotentialConfig | None = None,
-) -> float:
-    """F_CP = -dU_CP/dz (N), from the analytic trace derivatives."""
-    return -driven_potential(molecule, cavity, drive, z, cfg, deriv=1)
 
 
 # ----------------------------------------------------------------------
@@ -339,8 +320,6 @@ def component_grid(
     z_values,
     temperature: float = 0.0,
     cfg: PotentialConfig | None = None,
-    *,
-    deriv: int = 0,
 ) -> dict[str, np.ndarray]:
     """Component totals on a z grid: keys u0e, u1e, u0c, u1c.
 
@@ -350,9 +329,7 @@ def component_grid(
     z_values = np.asarray(z_values, dtype=float)
     out = {k: np.empty(z_values.shape) for k in ("u0e", "u1e", "u0c", "u1c")}
     for i, z in enumerate(z_values):
-        comps = potential_components(
-            molecule, cavity, float(z), temperature, cfg, deriv=deriv
-        )
+        comps = potential_components(molecule, cavity, float(z), temperature, cfg)
         out["u0e"][i] = comps.u0e
         out["u1e"][i] = comps.u1e
         out["u0c"][i] = comps.u0c

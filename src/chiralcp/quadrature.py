@@ -2,8 +2,7 @@
 
 Three entry points:
 
-* integrate_adaptive  -- Gauss-Kronrod 15(7) bisection on finite or
-  semi-infinite intervals (decay-scale mapped).
+* integrate_adaptive  -- Gauss-Kronrod 15(7) bisection on a finite interval.
 * integrate_oscillatory -- Filon-Clenshaw-Curtis rule for
   integral of g(k) * exp(i * phase_rate * k) with many oscillations; the
   amplitude g is sampled at Chebyshev points and the exponential is handled
@@ -14,13 +13,15 @@ Three entry points:
 All routines accept real or complex integrands. Integrands are vectorized:
 called with an array of nodes, they return values of the same shape
 (otherwise TypeError). A value that is not finite raises ConvergenceError
-instead of being returned.
+instead of being returned, as soon as an error estimate or partial sum
+shows it.
 """
 
 from __future__ import annotations
 
 import cmath
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -56,18 +57,18 @@ class QuadratureConfig:
             raise ValueError("max_subdivisions must be >= 1")
 
 
+_MIN_TERMS = 4
+_TAIL_WINDOW = 3
+
+
 @dataclass(frozen=True)
 class SeriesConfig:
     rel_tol: float = 1e-10
-    min_terms: int = 4
     max_terms: int = 200_000
-    tail_check_window: int = 3
 
     def __post_init__(self):
-        if self.min_terms > self.max_terms:
-            raise ValueError("min_terms must be <= max_terms")
-        if self.tail_check_window < 2:
-            raise ValueError("tail_check_window must be >= 2")
+        if self.max_terms < _MIN_TERMS:
+            raise ValueError(f"max_terms must be >= {_MIN_TERMS}")
 
 
 class IntegralResult(NamedTuple):
@@ -144,7 +145,11 @@ def _gk15(f: Callable, a: float, b: float):
     v = f(mid + half * _NODES)
     k = half * np.sum(_W_KRONROD * v)
     g = half * np.sum(_W_GAUSS * v)
-    return k, abs(k - g)
+    err = abs(k - g)
+    if not math.isfinite(err):
+        msg = f"adaptive quadrature: error estimate on [{a!r}, {b!r}] is not finite"
+        raise ConvergenceError(msg, estimate=k, error_estimate=err)
+    return k, err
 
 
 def integrate_adaptive(
@@ -152,34 +157,19 @@ def integrate_adaptive(
     lower: float,
     upper: float,
     cfg: QuadratureConfig | None = None,
-    *,
-    decay_scale: float | None = None,
 ) -> IntegralResult:
-    """Adaptively integrate f from lower to upper (upper may be np.inf).
+    """Adaptively integrate f over the finite interval [lower, upper].
 
-    Semi-infinite intervals are mapped to (0, 1) by
-    x = lower + s * t / (1 - t) where s is the integrand's decay scale
-    (pass it when known, e.g. 1/(2 z) for exp(-2 kappa z) tails; default 1).
     Endpoint values are never evaluated, so integrable endpoint
     singularities such as 1/sqrt(x) are handled.
     """
     cfg = cfg or QuadratureConfig()
-    if np.isinf(upper):
-        s = float(decay_scale) if decay_scale else 1.0
-        if s <= 0:
-            raise ValueError("decay_scale must be > 0")
-        raw = _vectorized(f)
-
-        def g(t):
-            x = lower + s * t / (1.0 - t)
-            return raw(x) * (s / (1.0 - t) ** 2)
-
-        lo, hi = 0.0, 1.0
-    else:
-        g = _vectorized(f)
-        lo, hi = float(lower), float(upper)
-        if lo == hi:
-            return IntegralResult(0.0, 0.0)
+    lo, hi = float(lower), float(upper)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bounds must be finite, got ({lower!r}, {upper!r})")
+    if lo == hi:
+        return IntegralResult(0.0, 0.0)
+    g = _vectorized(f)
 
     val, err = _gk15(g, lo, hi)
     # Heap of (-error, tiebreak, a, b, value, error).
@@ -252,7 +242,23 @@ def _legendre_phase_moments(n: int, theta: float) -> np.ndarray:
     return m
 
 
-def _filon_cc(g: Callable, lower, upper, phase_rate, cfg) -> complex:
+def integrate_oscillatory(
+    g: Callable,
+    phase_rate: float,
+    lower: float,
+    upper: float,
+    cfg: QuadratureConfig | None = None,
+) -> complex:
+    """Integral of g(k) * exp(i * phase_rate * k) dk over [lower, upper].
+
+    g must be smooth on the interval; phase_rate * (upper - lower) may span
+    thousands of periods. The Filon-Clenshaw-Curtis rule expands the
+    amplitude in Chebyshev polynomials (sampled at Clenshaw-Curtis points),
+    converts to Legendre coefficients and applies analytic phase moments
+    2 i^n j_n(theta), so its cost is set by the smoothness of g alone.
+    """
+    cfg = cfg or QuadratureConfig()
+    g = _vectorized(g)
     half = 0.5 * (upper - lower)
     mid = 0.5 * (upper + lower)
     theta = phase_rate * half
@@ -277,29 +283,6 @@ def _filon_cc(g: Callable, lower, upper, phase_rate, cfg) -> complex:
     )
 
 
-def integrate_oscillatory(
-    g: Callable,
-    phase_rate: float,
-    lower: float,
-    upper: float,
-    cfg: QuadratureConfig | None = None,
-) -> complex:
-    """Integral of g(k) * exp(i * phase_rate * k) dk over [lower, upper].
-
-    g must be smooth on the interval; phase_rate * (upper - lower) may span
-    thousands of periods. The Filon-Clenshaw-Curtis rule expands the
-    amplitude in Chebyshev polynomials (sampled at Clenshaw-Curtis points),
-    converts to Legendre coefficients and applies analytic phase moments
-    2 i^n j_n(theta), so its cost is set by the smoothness of g alone.
-    """
-    cfg = cfg or QuadratureConfig()
-    if upper == lower:
-        return 0.0 + 0.0j
-    if phase_rate == 0.0:
-        return complex(integrate_adaptive(g, lower, upper, cfg).value)
-    return _filon_cc(_vectorized(g), lower, upper, phase_rate, cfg)
-
-
 def sum_series(
     term: Callable[[int], complex],
     weight_j0: float = 1.0,
@@ -307,13 +290,13 @@ def sum_series(
 ) -> complex:
     """Sum term(j) for j = 0, 1, 2, ... with the j = 0 term scaled by weight_j0.
 
-    Stops once tail_check_window consecutive terms fall below
-    rel_tol * |partial sum| (magnitude), after at least min_terms terms.
+    Stops once _TAIL_WINDOW consecutive terms fall below
+    rel_tol * |partial sum| (magnitude), after at least _MIN_TERMS terms.
     The rule is term-magnitude based: for slowly decaying series (power-law
     tails) the discarded tail can exceed rel_tol * |sum| even though every
     discarded term is individually below it; exponentially decaying series
     (the Matsubara use case) meet the relative tolerance outright. A sum
-    that is not finite raises ConvergenceError.
+    that is not finite raises ConvergenceError, without using up max_terms.
     """
     cfg = cfg or SeriesConfig()
     total = weight_j0 * term(0)
@@ -321,12 +304,15 @@ def sum_series(
     for j in range(1, cfg.max_terms + 1):
         t = term(j)
         total += t
-        if j + 1 < cfg.min_terms:
+        if j + 1 < _MIN_TERMS:
             continue
         if abs(t) <= cfg.rel_tol * abs(total):
             below += 1
-            if below >= cfg.tail_check_window:
+            if below >= _TAIL_WINDOW:
                 return _finite(total, "series")
+        elif not cmath.isfinite(total):
+            msg = f"series partial sum is not finite at term j = {j} ({total})"
+            raise ConvergenceError(msg, estimate=total)
         else:
             below = 0
     raise ConvergenceError(

@@ -93,6 +93,12 @@ def _as_int(value, ctx: str) -> int:
     return value
 
 
+def _as_bool(value, ctx: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{ctx}: expected true or false, got {value!r}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # Command-specific blocks.
 
@@ -175,7 +181,8 @@ def _parse_molecule(raw, ctx="molecule") -> MoleculeSpec:
     d = _section(raw, ctx)
     if "preset" in d:
         name = _take(d, ctx, "preset")
-        enantiomer = _take(d, ctx, "enantiomer", default=1)
+        enantiomer = _as_int(_take(d, ctx, "enantiomer", default=1),
+                             f"{ctx}.enantiomer")
         _reject_leftovers(d, ctx)
         if name not in molecule_preset_names():
             known = ", ".join(molecule_preset_names())
@@ -300,7 +307,8 @@ def _parse_ensemble_block(raw, ctx="ensemble") -> EnsembleBlock:
         rng_seed=_as_int(_take(d, ctx, "rng_seed", required=True),
                          f"{ctx}.rng_seed"),
         t_max=_as_float(_take(d, ctx, "t_max", required=True), f"{ctx}.t_max"),
-        write_trajectories=bool(_take(d, ctx, "write_trajectories", default=False)),
+        write_trajectories=_as_bool(_take(d, ctx, "write_trajectories", default=False),
+                                    f"{ctx}.write_trajectories"),
     )
     _reject_leftovers(d, ctx)
     try:

@@ -281,15 +281,6 @@ def test_trajectory_energy_is_conserved(field_pair):
         assert energy_drift(result, field, mass) < 1e-6
 
 
-def test_force_matches_potential_gradient(mol_3mcp, cavity_1mm, drive_ref):
-    for z in (1.0e-7, 1.0e-6):
-        h = 1e-4 * z
-        up = driven_potential(mol_3mcp, cavity_1mm, drive_ref, z + h)
-        dn = driven_potential(mol_3mcp, cavity_1mm, drive_ref, z - h)
-        grad = driven_potential(mol_3mcp, cavity_1mm, drive_ref, z, deriv=1)
-        assert grad == pytest.approx((up - dn) / (2 * h), rel=1e-4)
-
-
 # ----------------------------------------------------------------------
 # Remaining packaged scenarios run end to end.
 

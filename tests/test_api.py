@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import chiralcp
+import chiralcp.dynamics as dynamics
+import chiralcp.scenarios as scenarios
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,3 +49,13 @@ def test_run_scenario_keywords():
     params = inspect.signature(chiralcp.run_scenario).parameters
     for name in ("workers", "seed_override"):
         assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_benchmark_self_test_api():
+    """What perfbench/tests calls: coarse fields, shared fields, CSV, parsing."""
+    field_params = inspect.signature(dynamics.force_field_pair).parameters
+    assert {"n_side", "n_mid"} <= set(field_params)
+    ensemble_params = inspect.signature(dynamics.run_ensemble).parameters
+    assert {"field", "keep_histories"} <= set(ensemble_params)
+    assert callable(dynamics.write_trajectories_csv)
+    assert callable(scenarios.parse_scenario)

@@ -20,6 +20,7 @@ from chiralcp import (
     run_ensemble,
     separation_report,
 )
+import chiralcp.dynamics as dynamics
 from chiralcp.dynamics import (
     SeparationStats,
     potential_grid,
@@ -249,6 +250,48 @@ def test_ensemble_stats_bookkeeping(cavity_1mm, mol_3mcp, drive_ref, field_pair)
         assert stats.median_collection_time == pytest.approx(
             float(np.median(times))
         )
+
+
+def test_failed_trajectory_is_counted_and_excluded(
+    tmp_path, monkeypatch, cavity_1mm, mol_3mcp, drive_ref, field_pair
+):
+    """A solver failure becomes a record error, counted apart from the fates."""
+    spec = EnsembleSpec(n_molecules=4, z0=5e-4, v_mean=8e-4, v_sigma=1e-4,
+                        rng_seed=5, t_max=1.5)
+    bad_v0 = dynamics._initial_speed(spec, 2)
+    solve_ivp = dynamics.solve_ivp
+
+    def failing_for_one(fun, t_span, y0, **kwargs):
+        sol = solve_ivp(fun, t_span, y0, **kwargs)
+        if y0[1] == bad_v0:
+            sol.status, sol.message = -1, "required step size is less than spacing"
+            sol.t, sol.y = sol.t[:3], sol.y[:, :3]
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", failing_for_one)
+    stats, records = run_ensemble(
+        spec, cavity_1mm, mol_3mcp, drive_ref, field=field_pair[0],
+        keep_histories=True, n_samples=50,
+    )
+    assert [r.error is not None for r in records] == [False, False, True, False]
+    assert "trajectory integration failed" in records[2].error
+    assert records[2].fate is Fate.IN_FLIGHT
+    ok = [r for r in records if r.error is None]
+    n_a = sum(r.fate is Fate.COLLECTED_A for r in ok)
+    n_b = sum(r.fate is Fate.COLLECTED_B for r in ok)
+    assert (stats.n, stats.n_errors) == (3, 1)
+    assert (stats.n_collected_A, stats.n_collected_B) == (n_a, n_b)
+    assert stats.fraction_A == n_a / 3
+    assert stats.fraction_B == n_b / 3
+    assert stats.fraction_in_flight == pytest.approx(1.0 - (n_a + n_b) / 3)
+
+    path = tmp_path / "traj.csv"
+    write_trajectories_csv(path, records)
+    rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]]
+    failed = [r for r in rows if r[0] == "2"]
+    assert len(failed) == 3
+    assert all(r[4] == "in_flight" for r in failed)
+    assert [float(r[1]) for r in failed] == pytest.approx(list(records[2].history.t))
 
 
 def test_undriven_ensemble_stays_in_flight(cavity_1mm, mol_3mcp):

@@ -133,28 +133,6 @@ def test_xi2_zero_limit_matches_small_xi():
 
 
 # ----------------------------------------------------------------------
-# Analytic derivatives against central finite differences.
-
-@pytest.mark.parametrize("z", [120e-9, 450e-9])
-def test_imaginary_trace_derivatives(z):
-    h = 1e-4 * z
-    for op in (trace_G_imaginary, trace_curl_G_imaginary):
-        analytic = op(W10 / 2, z, CAV, deriv=1)
-        fd = (op(W10 / 2, z + h, CAV) - op(W10 / 2, z - h, CAV)) / (2 * h)
-        assert analytic == pytest.approx(fd, rel=1e-6)
-
-
-def test_real_trace_derivatives():
-    z = 230e-9
-    h = 1e-5 * z
-    for op in (trace_G_real_resonant, trace_curl_G_real_resonant):
-        analytic = op(W10, z, CAV, deriv=1)
-        fd = (op(W10, z + h, CAV) - op(W10, z - h, CAV)) / (2 * h)
-        assert analytic.real == pytest.approx(fd.real, rel=1e-5)
-        assert analytic.imag == pytest.approx(fd.imag, rel=1e-5)
-
-
-# ----------------------------------------------------------------------
 # Chirality structure.
 
 @pytest.mark.parametrize("path", ["single", "series"])

@@ -75,6 +75,8 @@ def test_explicit_molecule_and_per_mirror_cavity():
         (lambda r: r.update(extra=1), "extra"),
         (lambda r: r["molecule"].update(preset="nope"), "preset"),
         (lambda r: r["molecule"].update(typo=2), "typo"),
+        (lambda r: r["molecule"].update(enantiomer=True), "enantiomer"),
+        (lambda r: r["molecule"].update(enantiomer=-1.0), "enantiomer"),
         (lambda r: r["cavity"].update(r_e=1.5), "r_e"),
         (lambda r: r["drive"].update(rabi_omega=1e7), "exactly one"),
         (lambda r: r["drive"].pop("intensity"), "exactly one"),
@@ -130,6 +132,10 @@ def test_ensemble_block_validation():
     bad = dict(raw)
     bad["ensemble"] = {**ens, "rng_seed": -4}
     with pytest.raises(ConfigError, match="rng_seed"):
+        parse_scenario(bad)
+    bad = dict(raw)
+    bad["ensemble"] = {**ens, "write_trajectories": "false"}
+    with pytest.raises(ConfigError, match="write_trajectories"):
         parse_scenario(bad)
 
 
