@@ -2,7 +2,7 @@
 
 The cavity-normal coordinate decouples from the longitudinal beam motion,
 so each molecule is a 1-D Hamiltonian system m dv/dt = F(z), dz/dt = v on
-[z_min, a - z_min]. Reaching either boundary counts as collected at that
+[Z_MIN, a - Z_MIN]. Reaching either boundary counts as collected at that
 mirror (inside the barrier maximum the potential is steeply attractive and
 classical recapture is impossible); fates are terminal.
 
@@ -30,7 +30,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .core import CavitySpec, DriveSpec, MoleculeSpec, Side
-from .potential import PotentialConfig, Z_MIN, component_grid, driven_pair
+from .potential import Z_MIN, component_grid, driven_pair
 
 
 class Fate(enum.Enum):
@@ -58,7 +58,6 @@ class ForceField:
     z_grid: np.ndarray
     u_grid: np.ndarray
     spline: CubicSpline
-    dspline: CubicSpline
     z_lo: float
     z_hi: float
 
@@ -66,12 +65,10 @@ class ForceField:
     def from_grid(cls, z_grid, u_grid) -> "ForceField":
         z_grid = np.asarray(z_grid, dtype=float)
         u_grid = np.asarray(u_grid, dtype=float)
-        spline = CubicSpline(z_grid, u_grid)
         return cls(
             z_grid=z_grid,
             u_grid=u_grid,
-            spline=spline,
-            dspline=spline.derivative(),
+            spline=CubicSpline(z_grid, u_grid),
             z_lo=float(z_grid[0]),
             z_hi=float(z_grid[-1]),
         )
@@ -80,7 +77,7 @@ class ForceField:
         return self.spline(z)
 
     def force(self, z):
-        return -self.dspline(z)
+        return -self.spline(z, 1)
 
     def barrier_toward(self, side: Side) -> float:
         """Largest potential value on the approach to one mirror (J)."""
@@ -92,7 +89,6 @@ class ForceField:
 def potential_grid(
     cavity: CavitySpec,
     wavelength: float,
-    z_min: float = Z_MIN,
     *,
     n_side: int = 1700,
     n_mid: int = 600,
@@ -104,8 +100,8 @@ def potential_grid(
     only needs to track the envelope."""
     a = cavity.width_a
     edge = min(2.0 * wavelength, 0.25 * a)
-    left = np.geomspace(z_min, edge, n_side)
-    right = a - np.geomspace(z_min, edge, n_side)
+    left = np.geomspace(Z_MIN, edge, n_side)
+    right = a - np.geomspace(Z_MIN, edge, n_side)
     mid = np.linspace(edge, a - edge, n_mid + 2)[1:-1]
     return np.unique(np.concatenate([left, mid, right]))
 
@@ -114,9 +110,7 @@ def force_field_pair(
     molecule: MoleculeSpec,
     cavity: CavitySpec,
     drive: DriveSpec,
-    cfg: PotentialConfig | None = None,
     *,
-    z_min: float = Z_MIN,
     n_side: int = 1700,
     n_mid: int = 600,
 ):
@@ -125,10 +119,8 @@ def force_field_pair(
     One component scan serves both, since only the chiral columns change
     sign. Returns (field_for_molecule, field_for_mirror_molecule).
     """
-    grid = potential_grid(
-        cavity, molecule.wavelength10, z_min, n_side=n_side, n_mid=n_mid
-    )
-    comps = component_grid(molecule, cavity, grid, drive.temperature, cfg)
+    grid = potential_grid(cavity, molecule.wavelength10, n_side=n_side, n_mid=n_mid)
+    comps = component_grid(molecule, cavity, grid, drive.temperature)
     u_self, u_mirror = driven_pair(comps, molecule, drive)
     return ForceField.from_grid(grid, u_self), ForceField.from_grid(grid, u_mirror)
 
@@ -150,21 +142,25 @@ class IntegrationError(RuntimeError):
         self.partial = partial
 
 
+# Rows of a sampled history (the default of integrate_trajectory, and what
+# run_ensemble(keep_histories=True) keeps).
+HISTORY_SAMPLES = 400
+
+
 def integrate_trajectory(
     init: TrajectoryState,
     field: ForceField,
     mass: float,
     t_max: float,
     *,
-    rtol: float = 1e-10,
-    atol=(1e-17, 1e-13),
-    n_samples: int = 400,
+    n_samples: int = HISTORY_SAMPLES,
 ) -> TrajectoryResult:
     """Adaptive 8th-order integration until t_max or a collection surface.
 
     Returns the sampled history; the final row is the event point when the
-    molecule is collected. The z tolerance is absolute-dominated near the
-    mirrors, where the wall force turns position error into energy error.
+    molecule is collected. DOP853 runs at rtol 1e-10 and atol 1e-17 m in z,
+    1e-13 m/s in v: the z tolerance is absolute-dominated near the mirrors,
+    where the wall force turns position error into energy error.
     """
     if not field.z_lo <= init.z <= field.z_hi:
         raise ValueError(f"initial z={init.z!r} outside [{field.z_lo}, {field.z_hi}]")
@@ -212,8 +208,8 @@ def integrate_trajectory(
         (init.t, t_max),
         (init.z, init.v_z),
         method="DOP853",
-        rtol=rtol,
-        atol=list(atol),
+        rtol=1e-10,
+        atol=[1e-17, 1e-13],
         t_eval=t_eval,
         events=(hit_a, hit_b),
     )
@@ -317,14 +313,14 @@ def _initial_speed(spec: EnsembleSpec, index: int) -> float:
 
 
 def _run_one(args):
-    index, spec, field, mass, n_samples, keep = args
+    index, spec, field, mass, keep = args
     v0 = _initial_speed(spec, index)
     init = TrajectoryState(z=spec.z0, v_z=v0)
     try:
         # Dense sampling only matters when the history is kept; the
         # stepping itself (hence every fate) is independent of n_samples.
         res = integrate_trajectory(
-            init, field, mass, spec.t_max, n_samples=n_samples if keep else 2
+            init, field, mass, spec.t_max, n_samples=HISTORY_SAMPLES if keep else 2
         )
     except IntegrationError as exc:
         return TrajectoryRecord(
@@ -361,12 +357,10 @@ def run_ensemble(
     cavity: CavitySpec,
     molecule: MoleculeSpec,
     drive: DriveSpec,
-    cfg: PotentialConfig | None = None,
     *,
     field: ForceField | None = None,
     workers: int = 1,
     keep_histories: bool = False,
-    n_samples: int = 400,
 ):
     """Integrate the ensemble; returns (SeparationStats, records).
 
@@ -377,11 +371,8 @@ def run_ensemble(
     cavity.validate_position(spec.z0)
     mol = molecule.with_enantiomer(spec.enantiomer)
     if field is None:
-        field, _ = force_field_pair(mol, cavity, drive, cfg)
-    tasks = [
-        (i, spec, field, mol.mass, n_samples, keep_histories)
-        for i in range(spec.n_molecules)
-    ]
+        field, _ = force_field_pair(mol, cavity, drive)
+    tasks = [(i, spec, field, mol.mass, keep_histories) for i in range(spec.n_molecules)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             records = list(

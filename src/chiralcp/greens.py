@@ -6,7 +6,8 @@ frequency i*xi and at real frequency omega. Position-independent (bulk)
 terms are omitted throughout; only the z-dependent scattering part matters
 for forces.
 
-Three evaluation paths:
+Three evaluation paths, chosen by GreensConfig(path=...), the only setting
+(the tolerances are module constants):
 
 * "single"  -- the n = 0 term of the image sum: one reflection per mirror
   (two independent mirrors), exact closed forms that accept an array of
@@ -34,7 +35,7 @@ driven potential (dynamics.force_field_pair), not from an analytic d/dz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .constants import CONST
 from .core import CavitySpec, MirrorSpec, Side
 from .quadrature import (
     QuadratureConfig,
-    SeriesConfig,
     integrate_adaptive,
     integrate_oscillatory,
     sum_series,
@@ -50,18 +50,19 @@ from .quadrature import (
 
 _PATHS = ("single", "series", "direct")
 
+# Tolerances of the direct path's k-integrals.
+_QUADRATURE = QuadratureConfig()
+# Decaying branches are integrated until the exp(-2 kappa z) weight falls to
+# this fraction of its peak; the remainder is added as the analytic
+# single-reflection tail.
+_EVANESCENT_CUTOFF_WEIGHT = 1e-18
+
 
 @dataclass(frozen=True)
 class GreensConfig:
-    """Evaluation-path and tolerance bundle for the trace operations."""
+    """Evaluation path of the trace operations: "single", "series" or "direct"."""
 
     path: str = "single"
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-    series: SeriesConfig = field(default_factory=SeriesConfig)
-    # Decaying branches are integrated until the exp(-2 kappa z) weight
-    # falls to this fraction of its peak; the remainder is added as the
-    # analytic single-reflection tail.
-    evanescent_cutoff_weight: float = 1e-18
 
     def __post_init__(self):
         if self.path not in _PATHS:
@@ -243,7 +244,7 @@ def _image_sum(cavity, z, cfg, term):
         _, _, eB, gB = image_strengths(cavity, n)
         return term((a - z) + n * a, -1, eB, gB)
 
-    return sum_series(side_A, 1.0, cfg.series) + sum_series(side_B, 1.0, cfg.series)
+    return sum_series(side_A, 1.0) + sum_series(side_B, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -260,16 +261,16 @@ def _direct_matrices(cavity, phase):
     return Dinv @ RA, RB @ Dinv
 
 
-def _cutoff_kappa(cavity, z, cfg, lower=0.0):
+def _cutoff_kappa(cavity, z, lower=0.0):
     zmin_side = min(z, cavity.width_a - z)
-    return lower + math.log(1.0 / cfg.evanescent_cutoff_weight) / (2.0 * zmin_side)
+    return lower + math.log(1.0 / _EVANESCENT_CUTOFF_WEIGHT) / (2.0 * zmin_side)
 
 
-def _direct_imag(xi, z, cavity, cfg, chiral):
+def _direct_imag(xi, z, cavity, chiral):
     a = cavity.width_a
     c = CONST.c
     mu = xi / c
-    kappa_max = _cutoff_kappa(cavity, z, cfg, lower=mu)
+    kappa_max = _cutoff_kappa(cavity, z, lower=mu)
 
     def integrand(kappa):
         kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
@@ -311,8 +312,8 @@ def _direct_imag(xi, z, cavity, cfg, chiral):
     # a relative rule alone never stops; the absolute floor is rel_tol times
     # the closed-form single-reflection magnitude at this (xi, z).
     single_A, single_B = sides(mu)
-    floor = cfg.quadrature.rel_tol * (abs(single_A) + abs(single_B)) / weight
-    quad = replace(cfg.quadrature, abs_tol=max(cfg.quadrature.abs_tol, floor))
+    floor = _QUADRATURE.rel_tol * (abs(single_A) + abs(single_B)) / weight
+    quad = replace(_QUADRATURE, abs_tol=floor)
     main = integrate_adaptive(integrand, mu, kappa_max, quad).value
     tail_A, tail_B = sides(kappa_max)
     if chiral:
@@ -320,7 +321,7 @@ def _direct_imag(xi, z, cavity, cfg, chiral):
     return float(main / (4.0 * np.pi) + (tail_A + tail_B))
 
 
-def _direct_real(omega, z, cavity, cfg, chiral):
+def _direct_real(omega, z, cavity, chiral):
     a = cavity.width_a
     c = CONST.c
     q = omega / c
@@ -344,12 +345,12 @@ def _direct_real(omega, z, cavity, cfg, chiral):
         return val
 
     trav = integrate_oscillatory(
-        lambda k: amp(k, "A"), 2.0 * z, 0.0, q, cfg.quadrature
+        lambda k: amp(k, "A"), 2.0 * z, 0.0, q, _QUADRATURE
     ) + integrate_oscillatory(
-        lambda k: amp(k, "B"), 2.0 * (a - z), 0.0, q, cfg.quadrature
+        lambda k: amp(k, "B"), 2.0 * (a - z), 0.0, q, _QUADRATURE
     )
 
-    kappa_max = _cutoff_kappa(cavity, z, cfg)
+    kappa_max = _cutoff_kappa(cavity, z)
 
     def integrand_ev(kappa):
         kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
@@ -369,7 +370,7 @@ def _direct_real(omega, z, cavity, cfg, chiral):
             )
         return val
 
-    evan = integrate_adaptive(integrand_ev, 0.0, kappa_max, cfg.quadrature).value
+    evan = integrate_adaptive(integrand_ev, 0.0, kappa_max, _QUADRATURE).value
 
     eA, gA, eB, gB = image_strengths(cavity, 0)
     if chiral:
@@ -395,7 +396,7 @@ def _imaginary_trace(xi_arr, z, cavity, cfg, chiral):
     if xi_arr.ndim and cfg.path != "single":
         return np.array([_imaginary_trace(x, z, cavity, cfg, chiral) for x in xi_arr])
     if cfg.path == "direct":
-        return _direct_imag(float(xi_arr), z, cavity, cfg, chiral)
+        return _direct_imag(float(xi_arr), z, cavity, chiral)
     if chiral:
         def term(X, s, e, g):
             return _tc_imag_terms(xi_arr, X, g, s)
@@ -438,7 +439,7 @@ def trace_G_real_resonant(omega, z, cavity: CavitySpec, cfg: GreensConfig | None
     if omega <= 0:
         raise ValueError("omega must be > 0")
     if cfg.path == "direct":
-        return _direct_real(omega, z, cavity, cfg, chiral=False)
+        return _direct_real(omega, z, cavity, chiral=False)
     val = _image_sum(cavity, z, cfg, lambda X, s, e, g: _bracket_e_terms(omega, X, e))
     return complex(val / (4.0 * np.pi))
 
@@ -449,7 +450,7 @@ def trace_curl_G_real_resonant(omega, z, cavity: CavitySpec, cfg: GreensConfig |
     if omega <= 0:
         raise ValueError("omega must be > 0")
     if cfg.path == "direct":
-        return _direct_real(omega, z, cavity, cfg, chiral=True)
+        return _direct_real(omega, z, cavity, chiral=True)
     val = _image_sum(cavity, z, cfg, lambda X, s, e, g: _tc_real_terms(omega, X, g, s))
     return complex(omega / (4.0 * np.pi * CONST.c) * val)
 

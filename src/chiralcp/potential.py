@@ -21,12 +21,17 @@ the excited state (stimulated + spontaneous emission).
 
 The driven potential is U_CP = p0_bar U0 + p1_bar U1 with the
 time-averaged two-level populations of the drive.
+
+Tolerances are module constants (_XI_QUADRATURE here, the Matsubara stopping
+rule in quadrature.sum_series). The one setting is the Green's-tensor path,
+which potential_components takes as greens=GreensConfig(path=...); every
+other function here uses the default path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -48,26 +53,15 @@ from .greens import (
     trace_curl_G_imaginary,
     trace_curl_G_real_resonant,
 )
-from .quadrature import QuadratureConfig, SeriesConfig, integrate_adaptive, sum_series
+from .quadrature import QuadratureConfig, integrate_adaptive, sum_series
 
 # Closest physical approach to a mirror surface. Below ~10 nm the
 # constant-reflection two-level model stops being meaningful; every curve,
 # barrier scan and trajectory clips here.
 Z_MIN = 1e-8
 
-
-@dataclass(frozen=True)
-class PotentialConfig:
-    """Tolerances for potential-level integrals and sums."""
-
-    greens: GreensConfig = field(default_factory=GreensConfig)
-    xi_quadrature: QuadratureConfig = field(
-        default_factory=lambda: QuadratureConfig(rel_tol=1e-9)
-    )
-    matsubara: SeriesConfig = field(default_factory=SeriesConfig)
-
-
-_DEFAULT_CFG = PotentialConfig()
+# Tolerance of the zero-temperature imaginary-frequency integral.
+_XI_QUADRATURE = QuadratureConfig(rel_tol=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +144,7 @@ class PotentialComponents:
         return p0 * self.u0 + p1 * self.u1
 
 
-def _nonres_zero_T(molecule, cavity, z, cfg):
+def _nonres_zero_T(molecule, cavity, z, greens):
     """(u0e_nonres, u0c_nonres) by quadrature over imaginary frequency.
 
     Substitutes xi = w10 tan(u) so the Lorentzian response and the
@@ -166,7 +160,7 @@ def _nonres_zero_T(molecule, cavity, z, cfg):
         return (
             xi**2
             * alpha_isotropic(molecule, xi)
-            * trace_G_imaginary(xi, z, cavity, cfg.greens)
+            * trace_G_imaginary(xi, z, cavity, greens)
             * jac
         )
 
@@ -177,18 +171,18 @@ def _nonres_zero_T(molecule, cavity, z, cfg):
         return (
             xi
             * gamma_rotatory(molecule, xi)
-            * trace_curl_G_imaginary(xi, z, cavity, cfg.greens)
+            * trace_curl_G_imaginary(xi, z, cavity, greens)
             * jac
         )
 
-    i_e = integrate_adaptive(f_e, 0.0, 0.5 * np.pi, cfg.xi_quadrature).value
-    i_c = integrate_adaptive(f_c, 0.0, 0.5 * np.pi, cfg.xi_quadrature).value
+    i_e = integrate_adaptive(f_e, 0.0, 0.5 * np.pi, _XI_QUADRATURE).value
+    i_c = integrate_adaptive(f_c, 0.0, 0.5 * np.pi, _XI_QUADRATURE).value
     u0e = CONST.hbar * CONST.mu0 / (2.0 * np.pi) * float(np.real(i_e))
     u0c = -CONST.hbar * CONST.mu0 / np.pi * float(np.real(i_c))
     return u0e, u0c
 
 
-def _nonres_thermal(molecule, cavity, z, T, cfg):
+def _nonres_thermal(molecule, cavity, z, T, greens):
     """(u0e_nonres, u0c_nonres) by Matsubara summation at temperature T."""
     xi1 = 2.0 * np.pi * CONST.kB * T / CONST.hbar
 
@@ -196,12 +190,12 @@ def _nonres_thermal(molecule, cavity, z, T, cfg):
         if j == 0:
             # alpha(i xi) xi^2 tr G stays finite as xi -> 0; the Green's
             # layer exposes the combined limit.
-            return alpha_static(molecule) * trace_G_xi2_zero_limit(z, cavity, cfg.greens)
+            return alpha_static(molecule) * trace_G_xi2_zero_limit(z, cavity, greens)
         xi = xi1 * j
         return (
             xi**2
             * alpha_isotropic(molecule, xi)
-            * trace_G_imaginary(xi, z, cavity, cfg.greens)
+            * trace_G_imaginary(xi, z, cavity, greens)
         )
 
     def term_c(j):
@@ -211,21 +205,21 @@ def _nonres_thermal(molecule, cavity, z, T, cfg):
         return (
             xi
             * gamma_rotatory(molecule, xi)
-            * trace_curl_G_imaginary(xi, z, cavity, cfg.greens)
+            * trace_curl_G_imaginary(xi, z, cavity, greens)
         )
 
-    s_e = sum_series(term_e, 0.5, cfg.matsubara)
-    s_c = sum_series(term_c, 0.5, cfg.matsubara)
+    s_e = sum_series(term_e, 0.5)
+    s_c = sum_series(term_c, 0.5)
     u0e = CONST.mu0 * CONST.kB * T * float(np.real(s_e))
     u0c = -2.0 * CONST.mu0 * CONST.kB * T * float(np.real(s_c))
     return u0e, u0c
 
 
-def _resonant_parts(molecule, cavity, z, n_th, cfg):
+def _resonant_parts(molecule, cavity, z, n_th, greens):
     """(u0e_res, u1e_res, u0c_res, u1c_res) from real-frequency traces."""
     w = molecule.omega10
-    bracket = trace_G_real_resonant(w, z, cavity, cfg.greens)
-    curl = trace_curl_G_real_resonant(w, z, cavity, cfg.greens)
+    bracket = trace_G_real_resonant(w, z, cavity, greens)
+    curl = trace_curl_G_real_resonant(w, z, cavity, greens)
     re_trace_G = (1j * bracket).real
     re_trace_curl = curl.real
     e_unit = (CONST.mu0 / 3.0) * w**2 * molecule.dipole_d01**2 * re_trace_G
@@ -242,25 +236,25 @@ def potential_components(
     cavity: CavitySpec,
     z: float,
     temperature: float = 0.0,
-    cfg: PotentialConfig | None = None,
+    greens: GreensConfig | None = None,
 ) -> PotentialComponents:
     """All potential components at z.
 
     temperature = 0 integrates the nonresonant parts over imaginary
     frequency; temperature > 0 sums them over Matsubara frequencies and
-    weights the resonant parts with the thermal photon number.
+    weights the resonant parts with the thermal photon number. greens
+    selects the Green's-tensor path (default: the single-reflection path).
     """
-    cfg = cfg or _DEFAULT_CFG
     cavity.validate_position(z)
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature!r}")
     if temperature > 0.0:
-        u0e_nr, u0c_nr = _nonres_thermal(molecule, cavity, z, temperature, cfg)
+        u0e_nr, u0c_nr = _nonres_thermal(molecule, cavity, z, temperature, greens)
         n_th = thermal_photon_number(molecule.omega10, temperature)
     else:
-        u0e_nr, u0c_nr = _nonres_zero_T(molecule, cavity, z, cfg)
+        u0e_nr, u0c_nr = _nonres_zero_T(molecule, cavity, z, greens)
         n_th = 0.0
-    res = _resonant_parts(molecule, cavity, z, n_th, cfg)
+    res = _resonant_parts(molecule, cavity, z, n_th, greens)
     return PotentialComponents(
         z=z,
         temperature=temperature,
@@ -280,11 +274,10 @@ def driven_potential(
     cavity: CavitySpec,
     drive: DriveSpec,
     z: float,
-    cfg: PotentialConfig | None = None,
 ) -> float:
     """U_CP(z) = p0_bar U0 + p1_bar U1 at the drive's temperature (J)."""
     p0, p1 = time_averaged_populations(drive.rabi(molecule), drive.detuning_delta)
-    comps = potential_components(molecule, cavity, z, drive.temperature, cfg)
+    comps = potential_components(molecule, cavity, z, drive.temperature)
     return comps.weighted(p0, p1)
 
 
@@ -319,7 +312,6 @@ def component_grid(
     cavity: CavitySpec,
     z_values,
     temperature: float = 0.0,
-    cfg: PotentialConfig | None = None,
 ) -> dict[str, np.ndarray]:
     """Component totals on a z grid: keys u0e, u1e, u0c, u1c.
 
@@ -329,7 +321,7 @@ def component_grid(
     z_values = np.asarray(z_values, dtype=float)
     out = {k: np.empty(z_values.shape) for k in ("u0e", "u1e", "u0c", "u1c")}
     for i, z in enumerate(z_values):
-        comps = potential_components(molecule, cavity, float(z), temperature, cfg)
+        comps = potential_components(molecule, cavity, float(z), temperature)
         out["u0e"][i] = comps.u0e
         out["u1e"][i] = comps.u1e
         out["u0c"][i] = comps.u0c
@@ -356,7 +348,6 @@ def potential_curve(
     cavity: CavitySpec,
     drive: DriveSpec,
     z_values,
-    cfg: PotentialConfig | None = None,
 ) -> PotentialCurve:
     """Potential components and driven combination over a z grid.
 
@@ -365,7 +356,7 @@ def potential_curve(
     passed.
     """
     z_values = np.asarray(z_values, dtype=float)
-    grid = component_grid(molecule, cavity, z_values, drive.temperature, cfg)
+    grid = component_grid(molecule, cavity, z_values, drive.temperature)
     u_self, u_mirror = driven_pair(grid, molecule, drive)
     columns = {
         "U0e_J": grid["u0e"],
@@ -437,27 +428,25 @@ def barrier_report(
     cavity: CavitySpec,
     drive: DriveSpec,
     side: Side = Side.A,
-    cfg: PotentialConfig | None = None,
     *,
     n_grid: int = 400,
-    z_min: float = Z_MIN,
 ) -> BarrierReport:
     """Scan the driven potential toward one mirror and report both barriers.
 
-    A log-spaced grid from z_min to the cavity midline resolves the
+    A log-spaced grid from Z_MIN to the cavity midline resolves the
     sub-wavelength resonant oscillations near the wall; the grid maximum
     is then refined by golden-section search. Both enantiomers are
     evaluated from a single component scan (chiral parts negate).
     """
     a = cavity.width_a
-    approach = np.geomspace(z_min, a / 2.0, n_grid)
+    approach = np.geomspace(Z_MIN, a / 2.0, n_grid)
     z_grid = approach if side is Side.A else a - approach
 
-    grid = component_grid(molecule, cavity, z_grid, drive.temperature, cfg)
+    grid = component_grid(molecule, cavity, z_grid, drive.temperature)
     u_pos, u_neg = driven_pair(grid, molecule, drive)
 
     def u_of_z(mol):
-        return lambda z: driven_potential(mol, cavity, drive, float(z), cfg)
+        return lambda z: driven_potential(mol, cavity, drive, float(z))
 
     mol_pos = molecule if molecule.rotatory_R01 >= 0 else molecule.with_enantiomer(-1)
     mol_neg = mol_pos.with_enantiomer(-1)

@@ -8,7 +8,15 @@ Three entry points:
   amplitude g is sampled at Chebyshev points and the exponential is handled
   through analytic Legendre moments, so cost does not grow with phase_rate.
 * sum_series -- convergence-controlled summation of eventually-decaying
-  series (Matsubara sums, image expansions).
+  series (Matsubara sums, image expansions) under one fixed stopping rule
+  (the module constants _SERIES_REL_TOL, _MAX_TERMS, _MIN_TERMS and
+  _TAIL_WINDOW).
+
+The two integrals take a QuadratureConfig, because their callers need
+different tolerances: rel_tol 1e-8 for the Green's-tensor integrals, 1e-9
+for the imaginary-frequency integral, and an absolute floor per
+evaluation on the direct Green's path. integrate_adaptive bisects at most
+_MAX_SUBDIVISIONS times.
 
 All routines accept real or complex integrands. Integrands are vectorized:
 called with an array of nodes, they return values of the same shape
@@ -48,27 +56,17 @@ class ConvergenceError(RuntimeError):
 class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 0.0
-    max_subdivisions: int = 512
 
     def __post_init__(self):
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
+_MAX_SUBDIVISIONS = 512
+_SERIES_REL_TOL = 1e-10
+_MAX_TERMS = 200_000
 _MIN_TERMS = 4
 _TAIL_WINDOW = 3
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    rel_tol: float = 1e-10
-    max_terms: int = 200_000
-
-    def __post_init__(self):
-        if self.max_terms < _MIN_TERMS:
-            raise ValueError(f"max_terms must be >= {_MIN_TERMS}")
 
 
 class IntegralResult(NamedTuple):
@@ -177,7 +175,7 @@ def integrate_adaptive(
     heap = [(-err, counter, lo, hi, val, err)]
     total = val
     total_err = err
-    for _ in range(cfg.max_subdivisions):
+    for _ in range(_MAX_SUBDIVISIONS):
         if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             return IntegralResult(_finite(total, "adaptive quadrature"), total_err)
         neg_err, _, a, b, v, e = heapq.heappop(heap)
@@ -193,7 +191,7 @@ def integrate_adaptive(
     if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
         return IntegralResult(_finite(total, "adaptive quadrature"), total_err)
     raise ConvergenceError(
-        f"adaptive quadrature did not converge after {cfg.max_subdivisions} "
+        f"adaptive quadrature did not converge after {_MAX_SUBDIVISIONS} "
         f"subdivisions (error {total_err:.3e} on value {abs(total):.3e})",
         estimate=total,
         error_estimate=total_err,
@@ -283,30 +281,27 @@ def integrate_oscillatory(
     )
 
 
-def sum_series(
-    term: Callable[[int], complex],
-    weight_j0: float = 1.0,
-    cfg: SeriesConfig | None = None,
-) -> complex:
+def sum_series(term: Callable[[int], complex], weight_j0: float = 1.0) -> complex:
     """Sum term(j) for j = 0, 1, 2, ... with the j = 0 term scaled by weight_j0.
 
     Stops once _TAIL_WINDOW consecutive terms fall below
-    rel_tol * |partial sum| (magnitude), after at least _MIN_TERMS terms.
-    The rule is term-magnitude based: for slowly decaying series (power-law
-    tails) the discarded tail can exceed rel_tol * |sum| even though every
-    discarded term is individually below it; exponentially decaying series
-    (the Matsubara use case) meet the relative tolerance outright. A sum
-    that is not finite raises ConvergenceError, without using up max_terms.
+    _SERIES_REL_TOL * |partial sum| (magnitude), after at least _MIN_TERMS
+    terms. The rule is term-magnitude based: for slowly decaying series
+    (power-law tails) the discarded tail can exceed the tolerance times
+    |sum| even though every discarded term is individually below it;
+    exponentially decaying series (the Matsubara use case) meet the
+    relative tolerance outright. A sum that is not finite raises
+    ConvergenceError, without using up the _MAX_TERMS budget; so does one
+    that has not met the rule within that budget.
     """
-    cfg = cfg or SeriesConfig()
     total = weight_j0 * term(0)
     below = 0
-    for j in range(1, cfg.max_terms + 1):
+    for j in range(1, _MAX_TERMS + 1):
         t = term(j)
         total += t
         if j + 1 < _MIN_TERMS:
             continue
-        if abs(t) <= cfg.rel_tol * abs(total):
+        if abs(t) <= _SERIES_REL_TOL * abs(total):
             below += 1
             if below >= _TAIL_WINDOW:
                 return _finite(total, "series")
@@ -316,6 +311,6 @@ def sum_series(
         else:
             below = 0
     raise ConvergenceError(
-        f"series did not satisfy the tail criterion within {cfg.max_terms} terms",
+        f"series did not satisfy the tail criterion within {_MAX_TERMS} terms",
         estimate=total,
     )

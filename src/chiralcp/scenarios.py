@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
@@ -43,7 +44,6 @@ from .dynamics import (
 )
 from .greens import GreensConfig
 from .potential import (
-    PotentialConfig,
     PotentialCurve,
     barrier_report,
     component_grid,
@@ -84,6 +84,8 @@ def _reject_leftovers(d: dict, ctx: str):
 def _as_float(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{ctx}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, inf, or an int beyond float
+        raise ConfigError(f"{ctx}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -101,6 +103,11 @@ def _as_bool(value, ctx: str) -> bool:
 
 # ----------------------------------------------------------------------
 # Command-specific blocks.
+
+def _curve_name(temperature: float) -> str:
+    """Output file of the potential curve at one temperature."""
+    return f"potential_T{temperature:g}K.csv"
+
 
 @dataclass(frozen=True)
 class PotentialBlock:
@@ -121,6 +128,11 @@ class PotentialBlock:
             raise ConfigError("potential.n_points: must be >= 2")
         if any(t < 0 for t in self.temperatures):
             raise ConfigError("potential.temperatures: must be >= 0")
+        names = [_curve_name(t) for t in self.temperatures]
+        if len(set(names)) < len(names):
+            raise ConfigError(
+                "potential.temperatures: two temperatures share the output "
+                f"file name (names {names})")
 
     def grid(self) -> np.ndarray:
         if self.spacing == "log":
@@ -487,9 +499,7 @@ def _json_out(path: Path, payload: dict):
 # ----------------------------------------------------------------------
 # Runners.
 
-def _undriven(cfg: ScenarioConfig) -> DriveSpec:
-    return DriveSpec(detuning_delta=0.0, intensity=0.0,
-                     temperature=0.0 if cfg.drive is None else cfg.drive.temperature)
+_UNDRIVEN = DriveSpec(detuning_delta=0.0, intensity=0.0)
 
 
 def _barrier_point_dict(point) -> dict:
@@ -516,7 +526,7 @@ def _run_potential(cfg: ScenarioConfig, out_dir: Path) -> dict:
     files = []
     if cfg.drive is not None:
         curve = potential_curve(cfg.molecule, cfg.cavity, cfg.drive, grid)
-        name = f"potential_T{cfg.drive.temperature:g}K.csv"
+        name = _curve_name(cfg.drive.temperature)
         curve.to_csv(out_dir / name)
         files.append(name)
         barriers = {
@@ -532,7 +542,7 @@ def _run_potential(cfg: ScenarioConfig, out_dir: Path) -> dict:
                 "U0e_J": comps["u0e"], "U1e_J": comps["u1e"],
                 "U0c_J": comps["u0c"], "U1c_J": comps["u1c"],
             })
-            name = f"potential_T{temp:g}K.csv"
+            name = _curve_name(temp)
             curve.to_csv(out_dir / name)
             files.append(name)
         summary = {"curves": files}
@@ -540,7 +550,7 @@ def _run_potential(cfg: ScenarioConfig, out_dir: Path) -> dict:
     return {"files": files + ["summary.json"], "seed": None}
 
 
-def chiral_enhancement_metric(molecule, cavity, cfg: PotentialConfig):
+def chiral_enhancement_metric(molecule, cavity, greens: GreensConfig):
     """Peak |resonant chiral component| near the cavity center.
 
     The chiral part vanishes identically at z = a/2 for this mirror
@@ -550,7 +560,7 @@ def chiral_enhancement_metric(molecule, cavity, cfg: PotentialConfig):
     window = molecule.wavelength10 / 8.0
     zs = np.linspace(half - window, half + window, 33)
     vals = [
-        abs(potential_components(molecule, cavity, float(z), cfg=cfg).u1c_res)
+        abs(potential_components(molecule, cavity, float(z), greens=greens).u1c_res)
         for z in zs
     ]
     return float(max(vals))
@@ -559,16 +569,16 @@ def chiral_enhancement_metric(molecule, cavity, cfg: PotentialConfig):
 def _run_enhancement(cfg: ScenarioConfig, out_dir: Path) -> dict:
     block = cfg.enhancement
     lam = cfg.molecule.wavelength10
-    pot_cfg = PotentialConfig(greens=GreensConfig(path="series"))
+    series = GreensConfig(path="series")
     nus = list(range(block.nu_min, block.nu_max + 1))
     rows = np.empty((len(nus), 4))
     for i, nu in enumerate(nus):
         a = nu * lam / 4.0
         cav = CavitySpec(width_a=a, mirror_A=cfg.cavity.mirror_A,
                          mirror_B=cfg.cavity.mirror_B)
-        comps = potential_components(cfg.molecule, cav, a / 2.0, cfg=pot_cfg)
+        comps = potential_components(cfg.molecule, cav, a / 2.0, greens=series)
         electric = abs(comps.u1e_res)
-        chiral = chiral_enhancement_metric(cfg.molecule, cav, pot_cfg)
+        chiral = chiral_enhancement_metric(cfg.molecule, cav, series)
         rows[i] = (nu, a, electric, chiral)
     np.savetxt(
         out_dir / "enhancement.csv", rows, delimiter=",",
@@ -598,7 +608,7 @@ def _stats_dict(stats) -> dict:
 
 def _run_ensemble(cfg: ScenarioConfig, out_dir: Path, workers: int) -> dict:
     block = cfg.ensemble
-    drive = cfg.drive if cfg.drive is not None else _undriven(cfg)
+    drive = cfg.drive if cfg.drive is not None else _UNDRIVEN
     mol_pos = cfg.molecule.with_enantiomer(+1)
     field_pos, field_neg = force_field_pair(mol_pos, cfg.cavity, drive)
 
@@ -637,7 +647,7 @@ def _run_ensemble(cfg: ScenarioConfig, out_dir: Path, workers: int) -> dict:
 
 
 def _run_barrier(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    drive = cfg.drive if cfg.drive is not None else _undriven(cfg)
+    drive = cfg.drive if cfg.drive is not None else _UNDRIVEN
     report = barrier_report(cfg.molecule, cfg.cavity, drive, cfg.barrier.side,
                             n_grid=cfg.barrier.n_grid)
     payload = _barrier_dict(report)

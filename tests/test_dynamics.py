@@ -214,8 +214,8 @@ def test_ensemble_determinism_and_worker_independence(
                         rng_seed=3, t_max=1.2)
     runs = [
         run_ensemble(spec, cavity_1mm, mol_3mcp, drive_ref, field=f_pos,
-                     workers=w, n_samples=ns)
-        for w, ns in ((1, 400), (1, 2), (2, 400))
+                     workers=w, keep_histories=keep)
+        for w, keep in ((1, True), (1, False), (2, True))
     ]
     base_stats, base_rec = runs[0]
     assert base_stats.n_collected_B > 0
@@ -271,7 +271,7 @@ def test_failed_trajectory_is_counted_and_excluded(
     monkeypatch.setattr(dynamics, "solve_ivp", failing_for_one)
     stats, records = run_ensemble(
         spec, cavity_1mm, mol_3mcp, drive_ref, field=field_pair[0],
-        keep_histories=True, n_samples=50,
+        keep_histories=True,
     )
     assert [r.error is not None for r in records] == [False, False, True, False]
     assert "trajectory integration failed" in records[2].error
@@ -353,7 +353,7 @@ def test_trajectory_csv_contract(tmp_path, cavity_1mm, mol_3mcp, drive_ref,
                         rng_seed=2, t_max=1.2)
     _, records = run_ensemble(
         spec, cavity_1mm, mol_3mcp, drive_ref, field=f_pos,
-        keep_histories=True, n_samples=50,
+        keep_histories=True,
     )
     path = tmp_path / "traj.csv"
     write_trajectories_csv(path, records)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chiralcp.greens as greens
 from chiralcp import CavitySpec, GreensConfig, MirrorSpec, Side, symmetric_cavity
 from chiralcp.greens import (
     image_strengths,
@@ -227,15 +228,16 @@ def test_direct_path_chirality_flip():
     assert cf == -c
 
 
-def test_direct_path_cutoff_insensitivity():
+def test_direct_path_cutoff_insensitivity(monkeypatch):
     """The evanescent cutoff plus analytic tail is cutoff-independent."""
     lam = 2.0 * math.pi * 2.99792458e8 / W10
     cav = symmetric_cavity(2.0 * lam, 0.05, 0.8)
     z = 0.45 * lam
-    tight = GreensConfig(path="direct", evanescent_cutoff_weight=1e-18)
-    loose = GreensConfig(path="direct", evanescent_cutoff_weight=1e-12)
-    a = trace_G_imaginary(W10 / 2, z, cav, tight)
-    b = trace_G_imaginary(W10 / 2, z, cav, loose)
+    direct = GreensConfig(path="direct")
+    a = trace_G_imaginary(W10 / 2, z, cav, direct)
+    monkeypatch.setattr(greens, "_EVANESCENT_CUTOFF_WEIGHT", 1e-12)
+    b = trace_G_imaginary(W10 / 2, z, cav, direct)
+    assert b != a
     assert b == pytest.approx(a, rel=1e-8)
 
 

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralcp import (
+    CONST,
     DriveSpec,
+    GreensConfig,
     Side,
     alpha_isotropic,
     barrier_report,
@@ -21,6 +23,7 @@ from chiralcp import (
     potential_curve,
     symmetric_cavity,
 )
+from chiralcp.greens import trace_G_real_resonant, trace_curl_G_real_resonant
 from chiralcp.potential import alpha_static
 
 
@@ -261,3 +264,26 @@ def test_barrier_undriven_chiral_repels_one_enantiomer(mol_3mcp, cavity_1mm):
     assert rep.repelled_enantiomer == -1
     assert rep.v_plus.height > 0.0
     assert rep.v_plus.position == pytest.approx(1e-8, rel=1e-12)
+
+
+def test_series_path_resonant_parts_from_traces(mol_3mcp):
+    """greens= reaches every trace: the series path differs from the single
+    one, and its resonant parts are the series-path traces at omega10."""
+    lam = mol_3mcp.wavelength10
+    cav = symmetric_cavity(2.0 * lam, 0.05, 0.8)
+    z = 0.3 * lam
+    series = GreensConfig(path="series")
+    c = potential_components(mol_3mcp, cav, z, greens=series)
+    single = potential_components(mol_3mcp, cav, z)
+    assert c.u1e_res != single.u1e_res
+    assert c.u1c_res != single.u1c_res
+    assert c.u0e_nonres != single.u0e_nonres
+
+    w = mol_3mcp.omega10
+    re_trace_G = (1j * trace_G_real_resonant(w, z, cav, series)).real
+    re_trace_curl = trace_curl_G_real_resonant(w, z, cav, series).real
+    u1e_res = -(CONST.mu0 / 3.0) * w**2 * mol_3mcp.dipole_d01**2 * re_trace_G
+    u1c_res = (2.0 * CONST.mu0 * w * mol_3mcp.rotatory_R01 / 3.0) * re_trace_curl
+    assert c.u1e_res == pytest.approx(u1e_res, rel=1e-12)
+    assert c.u1c_res == pytest.approx(u1c_res, rel=1e-12)
+    assert (c.u0e_res, c.u0c_res) == (0.0, 0.0)

@@ -82,6 +82,18 @@ def test_explicit_molecule_and_per_mirror_cavity():
         (lambda r: r["drive"].pop("intensity"), "exactly one"),
         (lambda r: r["barrier"].update(side="C"), "side"),
         (lambda r: r["barrier"].update(n_grid=True), "n_grid"),
+        (lambda r: r["drive"].update(detuning_delta=math.nan),
+         "drive.detuning_delta: expected a finite number"),
+        (lambda r: r["drive"].update(intensity=math.inf),
+         "drive.intensity: expected a finite number"),
+        (lambda r: r["cavity"].update(width_a=math.nan),
+         "cavity.width_a: expected a finite number"),
+        (lambda r: r["cavity"].update(width_a=10**400),
+         "cavity.width_a: expected a finite number"),
+        (lambda r: r.update(molecule={
+            "name": "m", "dipole_d01": 1e-31, "rotatory_R01_over_c": -math.inf,
+            "omega10": 5e15, "mass": 1e-25}),
+         "molecule.rotatory_R01_over_c: expected a finite number"),
     ],
 )
 def test_invalid_configs_name_the_field(mutate, fragment):
@@ -117,6 +129,15 @@ def test_potential_block_validation():
     bad["potential"] = {**pot, "spacing": "cubic"}
     with pytest.raises(ConfigError, match="spacing"):
         parse_scenario(bad)
+
+    # Each temperature writes potential_T<T:g>K.csv; names must not collide.
+    undriven = {k: v for k, v in raw.items() if k != "drive"}
+    thermal = {**undriven, "potential": {**pot, "temperatures": [1.0, 298.0]}}
+    assert parse_scenario(thermal).potential.temperatures == (1.0, 298.0)
+    for temps in ([1.0, 1.0000001], [298.0, 298.0]):
+        bad = {**undriven, "potential": {**pot, "temperatures": temps}}
+        with pytest.raises(ConfigError, match="potential.temperatures: .*file name"):
+            parse_scenario(bad)
 
 
 def test_ensemble_block_validation():
